@@ -276,6 +276,21 @@ def _print_cohort_summary(cohort: metrics.CohortReport, threshold: float) -> Non
                   f"± {100 * stats.std:.1f} (n={stats.n})")
 
 
+def _ln_mask(vol: Volume, ln_class: int) -> Volume:
+    """The lymph-node mask of an eval input.
+
+    Label volumes holding more than 0 and 1 are multi-class and give up
+    ln_class, except 0/255 masks: those are binary (nonzero is foreground,
+    as everywhere downstream), as many tools store them.
+    """
+    if vol.kind != "label" or vol.class_count == 2:
+        return vol
+    data = vol.data
+    hi = int(data.max())
+    binary = hi <= 1 or (hi == 255 and np.count_nonzero(data) == np.count_nonzero(data == 255))
+    return vol if binary else fusion.extract_class(vol, ln_class)
+
+
 def _cmd_eval(args) -> int:
     pairs = _pair_volumes(args)
     config = {"command": "eval", "threshold_mm": args.threshold,
@@ -287,12 +302,8 @@ def _cmd_eval(args) -> int:
 
     def one(pair):
         pid, gt_path, pred_path = pair
-        gt = read_volume(gt_path)
-        pred = read_volume(pred_path)
-        if gt.kind == "label" and gt.class_count != 2 and int(gt.data.max()) > 1:
-            gt = fusion.extract_class(gt, args.ln_class)
-        if pred.kind == "label" and pred.class_count != 2 and int(pred.data.max()) > 1:
-            pred = fusion.extract_class(pred, args.ln_class)
+        gt = _ln_mask(read_volume(gt_path), args.ln_class)
+        pred = _ln_mask(read_volume(pred_path), args.ln_class)
         try:
             return metrics.evaluate_patient(
                 gt, pred, threshold_mm=args.threshold,

@@ -1,17 +1,25 @@
 """3D connected components of binary masks, the unit of per-node analysis.
 
-Two equivalent routes: dense grids are labeled inside the foreground bounding
-box (components cannot cross empty space), while sparse masks, the normal
-regime for node annotations on 500+ slice CT grids, switch to a graph over
-the foreground voxels whose cost scales with their count. Component ids are
-densified to first-voxel scan order (lexicographic over i, j, k), which makes
-the partition deterministic and directly comparable with a flood-fill
-reference.
+Every labeling starts with one occupancy scan: a cheap pass that finds the
+slabs along the slowest memory axis holding any foreground (axial slices for
+the Fortran-ordered grids read from disk). Counting and indexing then run
+only inside the runs of occupied slabs, so a node mask on a 500+ slice CT grid
+never pays for a second whole-grid pass. Sparse masks, the normal regime for
+node annotations, are labeled by a graph over those foreground voxels whose
+cost scales with their count; dense grids go through ndimage labeling inside
+the foreground bounding box (components cannot cross empty space).
+
+Component ids follow first-voxel scan order (lexicographic over i, j, k),
+which makes the partition deterministic and directly comparable with a
+flood-fill reference. A ComponentSet carries its foreground voxels as sorted
+C-order linear keys (which is scan order) with their component ids, so
+overlaps between two sets are a key intersection, not a grid pass; voxel
+coordinates are derived from the keys when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,49 +58,75 @@ class ComponentSet:
     """Partition of a binary mask into connected components.
 
     component_of holds the component index per voxel (0 = background);
-    indices 1..count are assigned in first-voxel scan order.
+    indices 1..count are assigned in first-voxel scan order. keys and labels
+    list the foreground voxels in scan order: their C-order linear indices
+    on the grid (ascending) and their component indices.
     """
 
     count: int
     component_of: np.ndarray
     sizes: np.ndarray  # voxel count per component, sizes[i-1] for component i
     connectivity: int
-    _bbox: tuple = field(default=None, repr=False)
+    keys: np.ndarray  # (n,) int64, strictly ascending
+    labels: np.ndarray  # (n,) component index per voxel, dtype of component_of
 
     def __post_init__(self):
-        if self._bbox is None:
-            self._bbox = tuple(slice(0, n) for n in self.component_of.shape)
-        self.component_of.setflags(write=False)
-        self.sizes.setflags(write=False)
+        for arr in (self.component_of, self.sizes, self.keys, self.labels):
+            arr.setflags(write=False)
 
     @property
-    def bbox(self) -> tuple:
-        """Slices of the foreground bounding box all components live in."""
-        return self._bbox
+    def coords(self) -> np.ndarray:
+        """(n, 3) int32 voxel indices of the foreground, in scan order."""
+        return _unravel(self.keys, self.component_of.shape)
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        # foreground voxel coords grouped by component, each group in scan order
-        sub = self.component_of[self._bbox]
-        coords = np.argwhere(sub != 0).astype(np.int32)
-        ids = sub[coords[:, 0], coords[:, 1], coords[:, 2]]
-        order = np.argsort(ids, kind="stable")
-        coords = coords[order]
-        coords += np.array([s.start for s in self._bbox], dtype=np.int32)
+    def _grouped(self) -> tuple[np.ndarray, np.ndarray]:
+        # voxels grouped by component, each group in scan order (stable sort);
+        # built on first use, since only morphometry walks components
+        order = np.argsort(self.labels, kind="stable")
         starts = np.zeros(self.count + 1, dtype=np.int64)
         np.cumsum(self.sizes, out=starts[1:])
-        return coords, starts
+        return _unravel(self.keys[order], self.component_of.shape), starts
 
     def voxels(self, index: int) -> np.ndarray:
         """(n, 3) voxel indices of component `index` (1-based), in scan order."""
         if not 1 <= index <= self.count:
             raise ValidationError(f"component index {index} outside [1, {self.count}]")
-        coords, starts = self._csr
+        coords, starts = self._grouped
         return coords[starts[index - 1]:starts[index]]
 
     @property
     def voxel_lists(self) -> list[np.ndarray]:
         return [self.voxels(i) for i in range(1, self.count + 1)]
+
+
+def _component_set(shape, keys: np.ndarray, labels: np.ndarray, count: int,
+                   connectivity: int, coords: np.ndarray | None = None) -> ComponentSet:
+    """ComponentSet from the scan-ordered foreground keys and their labels
+    (coords, the same voxels as (i, j, k), when the caller has them)."""
+    if coords is None:
+        coords = _unravel(keys, shape)
+    sizes = np.bincount(labels, minlength=count + 1)[1:].astype(np.int64)
+    # Fortran order keeps later NIfTI writes a straight memcpy
+    out = np.zeros(shape, dtype=_index_dtype(count), order="F")
+    out[coords[:, 0], coords[:, 1], coords[:, 2]] = labels
+    return ComponentSet(count, out, sizes, connectivity, keys, labels.astype(out.dtype))
+
+
+def _unravel(keys: np.ndarray, shape) -> np.ndarray:
+    """(n, 3) int32 grid indices of C-order linear keys."""
+    coords = np.empty((len(keys), 3), dtype=np.int32)
+    rest = keys
+    for axis in (2, 1):
+        rest, coords[:, axis] = np.divmod(rest, shape[axis])
+    coords[:, 0] = rest
+    return coords
+
+
+def _linear_keys(coords: np.ndarray, shape) -> np.ndarray:
+    """C-order linear index of each (i, j, k); ascending for scan-ordered coords."""
+    c = coords.astype(np.int64)
+    return (c[:, 0] * shape[1] + c[:, 1]) * shape[2] + c[:, 2]
 
 
 def _scan_order_remap(labeled: np.ndarray, count: int) -> np.ndarray:
@@ -110,19 +144,47 @@ def _scan_order_remap(labeled: np.ndarray, count: int) -> np.ndarray:
     return remap[labeled]
 
 
-def _scan_ordered_coords(data: np.ndarray) -> np.ndarray:
-    """Foreground coords in scan order; avoids argwhere's strided walk on
-    Fortran-ordered grids (volumes read from disk) by scanning memory linearly
-    and re-sorting the small coordinate set."""
-    if data.flags.c_contiguous or not data.flags.f_contiguous:
-        return np.argwhere(data)
-    flat = np.flatnonzero(data.ravel(order="F"))
-    nx, ny, nz = data.shape
-    i = flat % nx
-    j = (flat // nx) % ny
-    k = flat // (nx * ny)
-    order = np.argsort((i * ny + j) * nz + k, kind="stable")
-    return np.stack([i[order], j[order], k[order]], axis=1)
+def _slab_view(data: np.ndarray) -> tuple[np.ndarray | None, bool]:
+    """data as a Fortran-contiguous view whose last axis is its slowest in
+    memory, and whether that took a transpose (C-ordered input); None for
+    other strided input."""
+    if data.flags.f_contiguous:
+        return data, False
+    if data.flags.c_contiguous:
+        return data.T, True
+    return None, False
+
+
+def _occupied_runs(f: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(first slab, view) of each run of consecutive slabs along the last axis
+    of a Fortran-contiguous grid that hold foreground.
+
+    The one whole-grid pass of a labeling: a reduction over contiguous
+    memory, far cheaper than indexing the grid.
+    """
+    nx, ny, nz = f.shape
+    occupied = f.reshape((nx * ny, nz), order="F").any(axis=0)
+    edges = np.flatnonzero(np.diff(occupied, prepend=False, append=False)).tolist()
+    return [(a, f[:, :, a:b]) for a, b in zip(edges[::2], edges[1::2])]
+
+
+def _run_keys(f: np.ndarray, transposed: bool,
+              runs: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Ascending C-order linear keys of the foreground inside the runs.
+
+    flatnonzero over a Fortran-contiguous run walks memory linearly. For
+    transposed (C-ordered) input its offsets already are the C-order keys;
+    otherwise they are Fortran-order indices, converted and re-sorted.
+    """
+    nx, ny, nz = f.shape
+    keys = np.concatenate([np.flatnonzero(run.ravel(order="F")) + a * (nx * ny)
+                           for a, run in runs])
+    if transposed:
+        return keys
+    i = keys % nx
+    j = (keys // nx) % ny
+    k = keys // (nx * ny)
+    return np.sort((i * ny + j) * nz + k)
 
 
 def _positive_offsets(connectivity: int):
@@ -156,7 +218,7 @@ def _sparse_component_labels(coords: np.ndarray, shape, connectivity: int):
     """
     n = len(coords)
     _, sy, sz = shape
-    keys = (coords[:, 0] * sy + coords[:, 1]) * sz + coords[:, 2]  # ascending
+    keys = _linear_keys(coords, shape)
     rows, cols = [], []
     for dx, dy, dz in _positive_offsets(connectivity):
         valid = np.ones(n, dtype=bool)
@@ -187,36 +249,35 @@ def _sparse_component_labels(coords: np.ndarray, shape, connectivity: int):
 def label_components(mask, connectivity: int = 26) -> ComponentSet:
     """Decompose a binary mask (Volume or 3D array) into connected components.
 
-    Dense grids go through ndimage labeling inside the foreground bounding
-    box; sparse masks (node annotations on large CT grids) switch to a
-    foreground-voxel graph, so whole-volume scans stay out of the hot path.
-    Both routes produce the identical scan-order partition.
+    One occupancy scan finds the slabs holding foreground; sparse masks (node
+    annotations on large CT grids) are then indexed and labeled inside those
+    slabs only, through a foreground-voxel graph, while dense grids go
+    through ndimage labeling inside the foreground bounding box. Both routes
+    produce the identical scan-order partition.
     """
     if connectivity not in CONNECTIVITIES:
         raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}")
     data = _as_mask(mask)
 
-    n_fg = int(np.count_nonzero(data))
+    f, transposed = _slab_view(data)
+    if f is None:
+        n_fg = int(np.count_nonzero(data))
+    else:
+        runs = _occupied_runs(f)
+        n_fg = sum(int(np.count_nonzero(run)) for _, run in runs)
     if n_fg == 0:
-        return ComponentSet(0, np.zeros(data.shape, dtype=np.uint8),
-                            np.zeros(0, dtype=np.int64), connectivity)
+        none = np.zeros(0, dtype=np.int64)
+        return _component_set(data.shape, none, none, 0, connectivity)
 
     if n_fg <= _SPARSE_DENSITY * data.size:
-        coords = _scan_ordered_coords(data)
+        if f is None:
+            coords = np.argwhere(data)
+            keys = _linear_keys(coords, data.shape)
+        else:
+            keys = _run_keys(f, transposed, runs)
+            coords = _unravel(keys, data.shape)
         labels, count = _sparse_component_labels(coords, data.shape, connectivity)
-        lo, hi = coords.min(axis=0), coords.max(axis=0)
-        bbox = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-        sizes = np.bincount(labels, minlength=count + 1)[1:]
-        # Fortran order keeps later NIfTI writes a straight memcpy
-        out = np.zeros(data.shape, dtype=_index_dtype(count), order="F")
-        out[coords[:, 0], coords[:, 1], coords[:, 2]] = labels
-        cset = ComponentSet(count, out, sizes, connectivity, _bbox=bbox)
-        # the by-component voxel grouping is a cheap byproduct here
-        order = np.argsort(labels, kind="stable")
-        starts = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        cset.__dict__["_csr"] = (coords[order].astype(np.int32), starts)
-        return cset
+        return _component_set(data.shape, keys, labels, count, connectivity, coords)
 
     proj_x = data.any(axis=(1, 2))
     proj_y = data.any(axis=(0, 2))
@@ -229,10 +290,13 @@ def label_components(mask, connectivity: int = 26) -> ComponentSet:
             slice(int(z[0]), int(z[-1]) + 1))
 
     labeled, count = _label_dense(data[bbox], connectivity)
-    sizes = np.bincount(labeled.ravel(), minlength=count + 1)[1:].astype(np.int64)
-    out = np.zeros(data.shape, dtype=_index_dtype(count), order="F")
-    out[bbox] = labeled
-    return ComponentSet(count, out, sizes, connectivity, _bbox=bbox)
+    # C-order flat positions inside the box come in scan order of the grid
+    flat = np.flatnonzero(labeled)
+    labels = labeled.ravel()[flat]
+    coords = _unravel(flat, labeled.shape)
+    coords += np.array([s.start for s in bbox], dtype=np.int32)
+    return _component_set(data.shape, _linear_keys(coords, data.shape), labels, count,
+                          connectivity, coords)
 
 
 def filter_components(cset: ComponentSet, min_voxels: int = 1) -> ComponentSet:
@@ -247,10 +311,9 @@ def filter_components(cset: ComponentSet, min_voxels: int = 1) -> ComponentSet:
         return cset
     keep = cset.sizes >= min_voxels
     new_count = int(keep.sum())
-    remap = np.zeros(cset.count + 1, dtype=_index_dtype(new_count))
-    remap[1:][keep] = np.arange(1, new_count + 1, dtype=remap.dtype)
-    out = remap[cset.component_of[cset._bbox]]
-    full = np.zeros(cset.component_of.shape, dtype=remap.dtype)
-    full[cset._bbox] = out
-    return ComponentSet(new_count, full, cset.sizes[keep].copy(),
-                        cset.connectivity, _bbox=cset._bbox)
+    remap = np.zeros(cset.count + 1, dtype=np.int64)
+    remap[1:][keep] = np.arange(1, new_count + 1)
+    labels = remap[cset.labels]
+    kept = labels != 0
+    return _component_set(cset.component_of.shape, cset.keys[kept], labels[kept],
+                          new_count, cset.connectivity)

@@ -77,8 +77,9 @@ def _dice_masks(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _check_probabilities(p: np.ndarray) -> None:
-    if p.size and (float(p.min()) < 0.0 or float(p.max()) > 1.0):
-        raise ValidationError("probabilities must lie in [0, 1]")
+    # negated so that NaN, which fails every comparison, is rejected too
+    if p.size and not (float(p.min()) >= 0.0 and float(p.max()) <= 1.0):
+        raise ValidationError("probabilities must lie in [0, 1] and not be NaN")
 
 
 def soft_dice(prob: Volume, gt: Volume) -> float:
@@ -142,28 +143,18 @@ def stratify(measurements, threshold_mm: float = DEFAULT_SAD_THRESHOLD_MM):
     return large, small
 
 
-def _pair_overlaps(gt_set, pred_set, gt_mask: np.ndarray,
-                   pred_mask: np.ndarray) -> dict[tuple[int, int], int]:
+def _pair_overlaps(gt_set, pred_set) -> dict[tuple[int, int], int]:
     """Voxel overlap count per (gt component, pred component) pair.
 
-    Works inside the intersection of the two foreground bounding boxes, so the
-    cost scales with the occupied region, not the grid.
+    Intersects the two sets' sorted foreground keys, so the cost scales with
+    the foreground voxel count and no grid is touched.
     """
-    if gt_set.count == 0 or pred_set.count == 0:
+    _, gi, pj = np.intersect1d(gt_set.keys, pred_set.keys, assume_unique=True,
+                               return_indices=True)
+    if len(gi) == 0:
         return {}
-    bbox = tuple(
-        slice(max(a.start, b.start), min(a.stop, b.stop))
-        for a, b in zip(gt_set.bbox, pred_set.bbox)
-    )
-    if any(s.start >= s.stop for s in bbox):
-        return {}
-    both = (gt_mask[bbox] != 0) & (pred_mask[bbox] != 0)
-    if not both.any():
-        return {}
-    gi = gt_set.component_of[bbox][both].astype(np.int64)
-    pj = pred_set.component_of[bbox][both].astype(np.int64)
     n_pred = pred_set.count
-    keys = gi * (n_pred + 1) + pj
+    keys = gt_set.labels[gi].astype(np.int64) * (n_pred + 1) + pred_set.labels[pj]
     uniq, counts = np.unique(keys, return_counts=True)
     return {(int(k // (n_pred + 1)), int(k % (n_pred + 1))): int(c)
             for k, c in zip(uniq, counts)}
@@ -190,7 +181,7 @@ def evaluate_patient(gt_ln: Volume, pred_ln: Volume,
     pred_set = label_components(pred_c.data, connectivity)
     measurements = measure_components(gt_set, gt_c)
 
-    overlaps = _pair_overlaps(gt_set, pred_set, gt_c.data, pred_c.data)
+    overlaps = _pair_overlaps(gt_set, pred_set)
 
     # every intersecting voxel sits in exactly one (gt, pred) component pair
     n_gt = int(gt_set.sizes.sum())

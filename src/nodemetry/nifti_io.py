@@ -246,6 +246,9 @@ def _storage_dtype(volume: Volume) -> np.dtype:
             "probability volumes are stored one class per file; write each class grid"
         )
     if volume.kind == "label":
+        if data.dtype.kind == "i" and data.size and int(data.min()) < 0:
+            # stored as u1 or i4 it would read back as a different class id
+            raise ValidationError(f"label grid holds negative value {int(data.min())}")
         hi = int(data.max()) if data.size else 0
         return np.dtype("u1") if hi <= 255 else np.dtype("i4")
     if data.dtype in CODE_FOR_DTYPE:

@@ -63,6 +63,8 @@ class Volume:
         if self.kind == "label":
             if data.dtype.kind not in "uib":
                 raise ValidationError(f"label grid needs integer dtype, got {data.dtype}")
+            if data.dtype.kind == "i" and data.size and int(data.min()) < 0:
+                raise ValidationError(f"label grid holds negative value {int(data.min())}")
             if self.class_count is not None and data.size:
                 hi = int(data.max())
                 if hi >= self.class_count:
@@ -80,7 +82,8 @@ class Volume:
                     f"class_count {self.class_count} != trailing axis {n_classes}"
                 )
             lo, hi = float(data.min()), float(data.max())
-            if lo < 0.0 or hi > 1.0:
+            # negated so that NaN, which fails every comparison, is rejected too
+            if not (lo >= 0.0 and hi <= 1.0):
                 raise ValidationError(f"probabilities outside [0,1]: min {lo}, max {hi}")
             sums = data.sum(axis=3, dtype=np.float64)
             err = float(np.abs(sums - 1.0).max())

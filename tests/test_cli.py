@@ -108,6 +108,24 @@ def test_eval_cohort_dir_equals_individual(tmp_path):
     assert payload["cohort"]["all"]["mean"] == pytest.approx(float(np.mean(values)), abs=5e-5)
 
 
+def test_eval_0_255_mask_is_binary(tmp_path, capsys):
+    gt = two_node_arr()
+    pred = np.zeros_like(gt)
+    pred[5:18, 5:18, 4:7] = 1  # only the large node
+    reports = []
+    for scale in (1, 255):
+        d = tmp_path / "run"
+        d.mkdir(exist_ok=True)
+        write_mask(d / "g.nii", gt * scale)
+        write_mask(d / "p.nii", pred * scale)
+        assert main(["eval", "--gt", str(d / "g.nii"), "--pred", str(d / "p.nii"),
+                     "--out-json", str(d / "eval.json")]) == 0
+        reports.append((d / "eval.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["patients"][0]["gt_node_count"] == 2
+    assert "Dice (All LN): 100.0" not in capsys.readouterr().out
+
+
 def test_eval_manifest(tmp_path):
     arr = two_node_arr()
     write_mask(tmp_path / "g.nii.gz", arr)
@@ -268,6 +286,18 @@ def test_loss_command(tmp_path, capsys):
     assert "loss:" in printed
     value = json.loads(out_json.read_text())["loss"]
     assert value == pytest.approx(np.log(2.0) + 0.5, abs=1e-3)
+
+
+def test_loss_rejects_nan_probabilities(tmp_path):
+    shape = (4, 4, 4)
+    prob_dir = tmp_path / "probs"; prob_dir.mkdir()
+    for c in range(2):
+        p = np.full(shape, 0.5, np.float32)
+        p[0, 0, 0] = np.nan
+        nm.write_volume(make_volume(p, kind="scalar"), prob_dir / f"class{c}.nii.gz")
+    write_mask(tmp_path / "gt.nii.gz", np.zeros(shape, np.uint8))
+    rc = main(["loss", "--prob-dir", str(prob_dir), "--gt", str(tmp_path / "gt.nii.gz")])
+    assert rc == 1
 
 
 def test_threads_env_parsing(tmp_path, monkeypatch):

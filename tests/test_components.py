@@ -1,9 +1,44 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nodemetry as nm
+from nodemetry import components
 from conftest import make_volume
 from oracles import flood_fill_components
+
+
+@st.composite
+def masks(draw, max_dim=9, max_voxels=60):
+    """Small boolean grids, mostly sparse, with scattered foreground voxels."""
+    shape = draw(st.tuples(*[st.integers(1, max_dim)] * 3))
+    size = shape[0] * shape[1] * shape[2]
+    flat = draw(st.sets(st.integers(0, size - 1), max_size=min(size, max_voxels)))
+    mask = np.zeros(size, dtype=bool)
+    mask[sorted(flat)] = True
+    return mask.reshape(shape)
+
+
+def _strided(mask):
+    # every other plane of a twice-as-deep grid: neither C- nor F-contiguous
+    big = np.zeros((2 * mask.shape[0],) + mask.shape[1:], dtype=mask.dtype)
+    big[::2] = mask
+    return big[::2]
+
+
+LAYOUTS = {"fortran": np.asfortranarray, "c": np.ascontiguousarray, "strided": _strided}
+
+# foreground on the first and last slab of every axis, empty slabs between
+CORNERS = np.zeros((5, 6, 7), dtype=bool)
+CORNERS[0, 0, 0] = CORNERS[4, 5, 6] = CORNERS[0, 5, 0] = CORNERS[4, 0, 6] = True
+SINGLE = np.zeros((4, 5, 6), dtype=bool)
+SINGLE[2, 3, 4] = True
+# two runs of occupied slabs along both axes 0 and 2, joined across no gap
+RUNS = np.zeros((9, 4, 9), dtype=bool)
+RUNS[1:3, 1:3, 1:3] = RUNS[6:8, 2:4, 5:8] = RUNS[1, 0, 7] = True
 
 
 def test_empty_mask():
@@ -138,3 +173,39 @@ def test_accepts_volume_and_array(rng):
     from_vol = nm.label_components(make_volume(mask.astype(np.uint8)), 26)
     from_arr = nm.label_components(mask, 26)
     assert np.array_equal(from_vol.component_of, from_arr.component_of)
+
+
+@pytest.mark.parametrize("route", ["sparse", "dense"])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@settings(max_examples=40, deadline=None)
+@given(mask=masks(), connectivity=st.sampled_from(components.CONNECTIVITIES))
+@example(mask=np.zeros((5, 5, 5), dtype=bool), connectivity=26)
+@example(mask=SINGLE, connectivity=6)
+@example(mask=CORNERS, connectivity=26)
+@example(mask=RUNS, connectivity=18)
+def test_occupancy_scan_matches_flood_fill(route, layout, mask, connectivity):
+    data = LAYOUTS[layout](mask.astype(np.uint8))
+    threshold = 1.0 if route == "sparse" else 0.0  # force the route under test
+    with mock.patch.object(components, "_SPARSE_DENSITY", threshold):
+        cset = nm.label_components(data, connectivity)
+    expected = flood_fill_components(mask, connectivity)
+    assert cset.count == expected.max()
+    assert np.array_equal(cset.component_of, expected)
+    # carried foreground: scan order, ascending C-order keys, per-voxel ids
+    assert np.array_equal(cset.coords, np.argwhere(mask))
+    assert np.array_equal(cset.keys, np.flatnonzero(mask))
+    assert np.array_equal(cset.labels, expected[mask])
+    assert list(cset.sizes) == [int((expected == i).sum()) for i in range(1, cset.count + 1)]
+    for i in range(1, cset.count + 1):
+        assert np.array_equal(cset.voxels(i), np.argwhere(expected == i))
+
+
+def test_filter_keeps_carried_voxels_consistent():
+    mask = np.zeros((12, 12, 4), np.uint8)
+    mask[0:3, 0, 0] = 1           # 3 voxels, dropped
+    mask[6:8, 5:10, 0] = 1        # 10 voxels, kept
+    kept = nm.filter_components(nm.label_components(mask, 26), 5)
+    assert np.array_equal(kept.coords, np.argwhere(kept.component_of))
+    assert np.array_equal(kept.keys, np.flatnonzero(kept.component_of))
+    assert np.array_equal(kept.labels, kept.component_of[kept.component_of != 0])
+    assert np.array_equal(kept.voxels(1), kept.coords)

@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nodemetry as nm
-from nodemetry.metrics import _bce_arrays
+from nodemetry.metrics import _bce_arrays, _check_probabilities, _pair_overlaps
 from conftest import make_volume
 from oracles import naive_composite_loss, naive_dice
 
@@ -74,6 +77,15 @@ def test_soft_dice_validates_range():
     bad = make_volume(np.full((2, 2, 2), 1.5, np.float32), kind="scalar")
     with pytest.raises(nm.ValidationError):
         nm.soft_dice(bad, binvol(np.zeros((2, 2, 2))))
+
+
+def test_soft_dice_rejects_nan():
+    p = np.full((2, 2, 2), 0.5, np.float32)
+    p[1, 1, 1] = np.nan
+    with pytest.raises(nm.ValidationError, match="NaN"):
+        nm.soft_dice(make_volume(p, kind="scalar"), binvol(np.zeros((2, 2, 2))))
+    with pytest.raises(nm.ValidationError):
+        _check_probabilities(np.array([np.nan, np.nan]))
 
 
 def test_soft_dice_converges_to_dice(rng):
@@ -245,6 +257,47 @@ def test_evaluate_stratum_union_consistency(rng):
     assert total == int(gt_arr.sum())
     large, small = nm.stratify([m for m, _ in rep.per_node])
     assert sum(m.voxel_count for m in large) + sum(m.voxel_count for m in small) == total
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two masks on one small grid, each with scattered voxels and one box."""
+    shape = draw(st.tuples(*[st.integers(1, 8)] * 3))
+    pair = []
+    for _ in range(2):
+        mask = np.zeros(shape, dtype=np.uint8)
+        size = mask.size
+        mask.ravel()[sorted(draw(st.sets(st.integers(0, size - 1), max_size=20)))] = 1
+        lo = [draw(st.integers(0, n - 1)) for n in shape]
+        hi = [draw(st.integers(a, n)) for a, n in zip(lo, shape)]
+        mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = 1
+        pair.append(mask)
+    return pair
+
+
+LEFT = np.zeros((8, 6, 6), np.uint8)
+LEFT[0:3, 1:4, 1:4] = 1
+RIGHT = np.zeros_like(LEFT)
+RIGHT[5:8, 2:5, 0:3] = 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=mask_pairs(), connectivity=st.sampled_from((6, 18, 26)))
+@example(pair=[LEFT, RIGHT], connectivity=26)                 # disjoint bounding boxes
+@example(pair=[LEFT, np.zeros_like(LEFT)], connectivity=26)   # empty prediction
+@example(pair=[np.zeros_like(LEFT), RIGHT], connectivity=6)   # empty ground truth
+def test_pair_overlaps_match_dense_count(pair, connectivity):
+    gt, pred = pair
+    # the two sets come from different memory layouts; their keys must agree
+    gt_set = nm.label_components(np.asfortranarray(gt), connectivity)
+    pred_set = nm.label_components(np.ascontiguousarray(pred), connectivity)
+    expected = Counter()
+    for idx in np.argwhere((gt != 0) & (pred != 0)):
+        i, j, k = idx
+        expected[(int(gt_set.component_of[i, j, k]), int(pred_set.component_of[i, j, k]))] += 1
+    got = _pair_overlaps(gt_set, pred_set)
+    assert got == dict(expected)
+    assert list(got) == sorted(got)  # matching walks pairs in (gt, pred) order
 
 
 # -- aggregate ---------------------------------------------------------------------

@@ -106,6 +106,23 @@ def test_truncated_payload(tmp_path):
     assert "100" in str(exc.value) and "216" in str(exc.value)
 
 
+def test_negative_labels_never_wrap(tmp_path):
+    data = np.zeros((3, 3, 3), np.int16)
+    data[1, 1, 1] = -1
+    # a file holding -1 is read back as a scalar grid, never as label 255
+    nm.write_volume(make_volume(data, kind="scalar"), tmp_path / "s.nii")
+    assert nm.read_volume(tmp_path / "s.nii").data[1, 1, 1] == -1
+    with pytest.raises(nm.ValidationError, match="negative"):
+        nm.read_volume(tmp_path / "s.nii", kind="label")
+    # a label grid whose buffer turns negative after validation is not written
+    base = np.zeros((3, 3, 3), np.int16)
+    vol = make_volume(base[:], kind="label")
+    base[1, 1, 1] = -1
+    with pytest.raises(nm.ValidationError, match="negative"):
+        nm.write_volume(vol, tmp_path / "l.nii")
+    assert not (tmp_path / "l.nii").exists()
+
+
 def test_zero_dim_volume_rejected():
     with pytest.raises(nm.ValidationError):
         make_volume(np.zeros((4, 0, 4), np.uint8))

@@ -86,6 +86,22 @@ def test_probability_validation():
         nm.Volume(bad, (1, 1, 1), nm.identity_affine((1, 1, 1)), kind="probability")
 
 
+def test_probability_nan_rejected():
+    probs = np.zeros((2, 2, 2, 2), np.float32)
+    probs[..., 0] = 1.0
+    probs[1, 1, 1] = [np.nan, 1.0]
+    with pytest.raises(nm.ValidationError):
+        nm.Volume(probs, (1, 1, 1), nm.identity_affine((1, 1, 1)), kind="probability")
+
+
+def test_label_negative_rejected():
+    data = np.zeros((2, 2, 2), np.int16)
+    data[1, 1, 1] = -1
+    with pytest.raises(nm.ValidationError, match="negative"):
+        make_volume(data, kind="label")
+    make_volume(data, kind="scalar")  # intensities may be negative
+
+
 def test_label_class_count_enforced():
     with pytest.raises(nm.ValidationError):
         make_volume(np.full((2, 2, 2), 30, np.uint8), kind="label", class_count=30)
