@@ -2,9 +2,9 @@
 
 Every labeling starts with one occupancy scan: a cheap pass that finds the
 slabs along the slowest memory axis holding any foreground (axial slices for
-the Fortran-ordered grids read from disk). Counting and indexing then run
-only inside the runs of occupied slabs, so a node mask on a 500+ slice CT grid
-never pays for a second whole-grid pass. Sparse masks, the normal regime for
+the Fortran-ordered grids read from disk). Indexing then runs only inside
+the runs of occupied slabs, so a node mask on a 500+ slice CT grid never pays
+for a second whole-grid pass. Sparse masks, the normal regime for
 node annotations, are labeled by a graph over those foreground voxels whose
 cost scales with their count; dense grids go through ndimage labeling inside
 the foreground bounding box (components cannot cross empty space).
@@ -101,11 +101,9 @@ class ComponentSet:
 
 
 def _component_set(shape, keys: np.ndarray, labels: np.ndarray, count: int,
-                   connectivity: int, coords: np.ndarray | None = None) -> ComponentSet:
-    """ComponentSet from the scan-ordered foreground keys and their labels
-    (coords, the same voxels as (i, j, k), when the caller has them)."""
-    if coords is None:
-        coords = _unravel(keys, shape)
+                   connectivity: int, coords: np.ndarray) -> ComponentSet:
+    """ComponentSet from the scan-ordered foreground keys, their labels and
+    their coords (the same voxels as (i, j, k))."""
     sizes = np.bincount(labels, minlength=count + 1)[1:].astype(np.int64)
     # Fortran order keeps later NIfTI writes a straight memcpy
     out = np.zeros(shape, dtype=_index_dtype(count), order="F")
@@ -123,36 +121,13 @@ def _unravel(keys: np.ndarray, shape) -> np.ndarray:
     return coords
 
 
-def _linear_keys(coords: np.ndarray, shape) -> np.ndarray:
-    """C-order linear index of each (i, j, k); ascending for scan-ordered coords."""
-    c = coords.astype(np.int64)
-    return (c[:, 0] * shape[1] + c[:, 1]) * shape[2] + c[:, 2]
-
-
-def _scan_order_remap(labeled: np.ndarray, count: int) -> np.ndarray:
-    """Relabel so ids follow first-voxel scan order; scipy already does this
-    in practice, so the remap is usually the identity."""
-    flat = labeled.ravel()
-    nz = np.flatnonzero(flat)
-    first = np.zeros(count + 1, dtype=np.int64)
-    first[flat[nz[::-1]]] = nz[::-1]  # reversed scatter keeps the smallest index
-    order = np.argsort(first[1:], kind="stable")
-    if np.array_equal(order, np.arange(count)):
-        return labeled
-    remap = np.zeros(count + 1, dtype=labeled.dtype)
-    remap[order + 1] = np.arange(1, count + 1, dtype=labeled.dtype)
-    return remap[labeled]
-
-
-def _slab_view(data: np.ndarray) -> tuple[np.ndarray | None, bool]:
-    """data as a Fortran-contiguous view whose last axis is its slowest in
-    memory, and whether that took a transpose (C-ordered input); None for
-    other strided input."""
-    if data.flags.f_contiguous:
-        return data, False
-    if data.flags.c_contiguous:
+def _slab_view(data: np.ndarray) -> tuple[np.ndarray, bool]:
+    """data as a Fortran-contiguous array whose last axis is its slowest in
+    memory, and whether that took a transpose (C-ordered input); other
+    strided input is copied."""
+    if data.flags.c_contiguous and not data.flags.f_contiguous:
         return data.T, True
-    return None, False
+    return np.asfortranarray(data), False
 
 
 def _occupied_runs(f: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -178,7 +153,7 @@ def _run_keys(f: np.ndarray, transposed: bool,
     """
     nx, ny, nz = f.shape
     keys = np.concatenate([np.flatnonzero(run.ravel(order="F")) + a * (nx * ny)
-                           for a, run in runs])
+                           for a, run in runs] or [np.zeros(0, dtype=np.int64)])
     if transposed:
         return keys
     i = keys % nx
@@ -204,21 +179,14 @@ def _positive_offsets(connectivity: int):
     return offs
 
 
-def _label_dense(sub: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
-    structure = ndimage.generate_binary_structure(3, _RANK[connectivity])
-    labeled, count = ndimage.label(sub, structure=structure)
-    return _scan_order_remap(labeled, count), count
+def _graph_ids(keys: np.ndarray, coords: np.ndarray, shape, connectivity: int) -> np.ndarray:
+    """Raw component id per foreground voxel via a neighbor graph.
 
-
-def _sparse_component_labels(coords: np.ndarray, shape, connectivity: int):
-    """Component index per foreground voxel via a neighbor graph.
-
-    coords must be in scan order (argwhere). Cost scales with the foreground
-    count, not the grid, which is what node masks on CT grids need.
+    keys must be ascending. Cost scales with the foreground count, not the
+    grid, which is what node masks on CT grids need.
     """
-    n = len(coords)
+    n = len(keys)
     _, sy, sz = shape
-    keys = _linear_keys(coords, shape)
     rows, cols = [], []
     for dx, dy, dz in _positive_offsets(connectivity):
         valid = np.ones(n, dtype=bool)
@@ -238,65 +206,49 @@ def _sparse_component_labels(coords: np.ndarray, shape, connectivity: int):
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    count, raw = _graph_components(graph, directed=False)
-    # graph labels come in arbitrary order; rank by first appearance (scan order)
-    _, first = np.unique(raw, return_index=True)
-    remap = np.empty(count, dtype=np.int64)
-    remap[np.argsort(first, kind="stable")] = np.arange(1, count + 1)
-    return remap[raw], count
+    return _graph_components(graph, directed=False)[1]
+
+
+def _ndimage_ids(data: np.ndarray, coords: np.ndarray, connectivity: int) -> np.ndarray:
+    """Raw component id per foreground voxel from ndimage labeling of the
+    foreground bounding box (components cannot cross empty space)."""
+    # per-axis reductions: one over all three columns walks them strided
+    box = tuple(slice(int(c.min()), int(c.max()) + 1) for c in coords.T)
+    structure = ndimage.generate_binary_structure(3, _RANK[connectivity])
+    labeled, _ = ndimage.label(data[box], structure=structure)
+    return labeled[tuple(c - s.start for c, s in zip(coords.T, box))]
+
+
+def _scan_order(raw: np.ndarray) -> tuple[np.ndarray, int]:
+    """Component indices 1..count numbered by first appearance in scan order,
+    from raw ids in any numbering, and the count."""
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(1, len(first) + 1)
+    return rank[inverse], len(first)
 
 
 def label_components(mask, connectivity: int = 26) -> ComponentSet:
     """Decompose a binary mask (Volume or 3D array) into connected components.
 
-    One occupancy scan finds the slabs holding foreground; sparse masks (node
-    annotations on large CT grids) are then indexed and labeled inside those
-    slabs only, through a foreground-voxel graph, while dense grids go
-    through ndimage labeling inside the foreground bounding box. Both routes
-    produce the identical scan-order partition.
+    One occupancy scan finds the slabs holding foreground, and the foreground
+    keys are indexed inside those slabs only. Sparse masks (node annotations
+    on large CT grids) are then labeled through a foreground-voxel graph,
+    dense ones by ndimage inside the foreground bounding box; both routes'
+    ids are numbered in scan order, so they give the identical partition.
     """
     if connectivity not in CONNECTIVITIES:
         raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}")
     data = _as_mask(mask)
-
     f, transposed = _slab_view(data)
-    if f is None:
-        n_fg = int(np.count_nonzero(data))
+    keys = _run_keys(f, transposed, _occupied_runs(f))
+    coords = _unravel(keys, data.shape)
+    if len(keys) <= _SPARSE_DENSITY * data.size:
+        raw = _graph_ids(keys, coords, data.shape, connectivity)
     else:
-        runs = _occupied_runs(f)
-        n_fg = sum(int(np.count_nonzero(run)) for _, run in runs)
-    if n_fg == 0:
-        none = np.zeros(0, dtype=np.int64)
-        return _component_set(data.shape, none, none, 0, connectivity)
-
-    if n_fg <= _SPARSE_DENSITY * data.size:
-        if f is None:
-            coords = np.argwhere(data)
-            keys = _linear_keys(coords, data.shape)
-        else:
-            keys = _run_keys(f, transposed, runs)
-            coords = _unravel(keys, data.shape)
-        labels, count = _sparse_component_labels(coords, data.shape, connectivity)
-        return _component_set(data.shape, keys, labels, count, connectivity, coords)
-
-    proj_x = data.any(axis=(1, 2))
-    proj_y = data.any(axis=(0, 2))
-    proj_z = data.any(axis=(0, 1))
-    x = np.flatnonzero(proj_x)
-    y = np.flatnonzero(proj_y)
-    z = np.flatnonzero(proj_z)
-    bbox = (slice(int(x[0]), int(x[-1]) + 1),
-            slice(int(y[0]), int(y[-1]) + 1),
-            slice(int(z[0]), int(z[-1]) + 1))
-
-    labeled, count = _label_dense(data[bbox], connectivity)
-    # C-order flat positions inside the box come in scan order of the grid
-    flat = np.flatnonzero(labeled)
-    labels = labeled.ravel()[flat]
-    coords = _unravel(flat, labeled.shape)
-    coords += np.array([s.start for s in bbox], dtype=np.int32)
-    return _component_set(data.shape, _linear_keys(coords, data.shape), labels, count,
-                          connectivity, coords)
+        raw = _ndimage_ids(data, coords, connectivity)
+    labels, count = _scan_order(raw)
+    return _component_set(data.shape, keys, labels, count, connectivity, coords)
 
 
 def filter_components(cset: ComponentSet, min_voxels: int = 1) -> ComponentSet:
@@ -316,4 +268,4 @@ def filter_components(cset: ComponentSet, min_voxels: int = 1) -> ComponentSet:
     labels = remap[cset.labels]
     kept = labels != 0
     return _component_set(cset.component_of.shape, cset.keys[kept], labels[kept],
-                          new_count, cset.connectivity)
+                          new_count, cset.connectivity, cset.coords[kept])

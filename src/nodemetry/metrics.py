@@ -136,28 +136,27 @@ def stratify(measurements, threshold_mm: float = DEFAULT_SAD_THRESHOLD_MM):
     Large means sad_mm >= threshold (the >= is inclusive: an exactly-8mm node
     is clinically significant).
     """
-    if threshold_mm <= 0:
+    # negated so that NaN, which fails every comparison, is rejected too
+    if not threshold_mm > 0:
         raise ValidationError(f"threshold must be positive, got {threshold_mm}")
     large = tuple(m for m in measurements if m.sad_mm >= threshold_mm)
     small = tuple(m for m in measurements if m.sad_mm < threshold_mm)
     return large, small
 
 
-def _pair_overlaps(gt_set, pred_set) -> dict[tuple[int, int], int]:
-    """Voxel overlap count per (gt component, pred component) pair.
+def _pair_overlaps(gt_set, pred_set) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gt_ids, pred_ids, counts): the voxel overlap count of every
+    overlapping (gt component, pred component) pair, sorted by (gt, pred).
 
     Intersects the two sets' sorted foreground keys, so the cost scales with
     the foreground voxel count and no grid is touched.
     """
     _, gi, pj = np.intersect1d(gt_set.keys, pred_set.keys, assume_unique=True,
                                return_indices=True)
-    if len(gi) == 0:
-        return {}
-    n_pred = pred_set.count
-    keys = gt_set.labels[gi].astype(np.int64) * (n_pred + 1) + pred_set.labels[pj]
-    uniq, counts = np.unique(keys, return_counts=True)
-    return {(int(k // (n_pred + 1)), int(k % (n_pred + 1))): int(c)
-            for k, c in zip(uniq, counts)}
+    n_pred = pred_set.count + 1
+    pairs, counts = np.unique(gt_set.labels[gi].astype(np.int64) * n_pred
+                              + pred_set.labels[pj], return_counts=True)
+    return pairs // n_pred, pairs % n_pred, counts
 
 
 def evaluate_patient(gt_ln: Volume, pred_ln: Volume,
@@ -173,6 +172,8 @@ def evaluate_patient(gt_ln: Volume, pred_ln: Volume,
     matched components; stratum Dice compares the union of the stratum's
     nodes against the union of components matched to any of them.
     """
+    if not 0.0 <= match_min_overlap <= 1.0:
+        raise ValidationError(f"match_min_overlap must lie in [0, 1], got {match_min_overlap}")
     assert_same_grid(gt_ln, pred_ln)
     gt_c = canonicalize(gt_ln)
     pred_c = canonicalize(pred_ln)
@@ -180,57 +181,42 @@ def evaluate_patient(gt_ln: Volume, pred_ln: Volume,
     gt_set = label_components(gt_c.data, connectivity)
     pred_set = label_components(pred_c.data, connectivity)
     measurements = measure_components(gt_set, gt_c)
+    large, small = stratify(measurements, threshold_mm)
 
-    overlaps = _pair_overlaps(gt_set, pred_set)
+    # one row per overlapping (gt, pred) pair; every intersecting voxel sits
+    # in exactly one pair
+    gi, pj, counts = _pair_overlaps(gt_set, pred_set)
+    gt_sizes, pred_sizes = gt_set.sizes, pred_set.sizes
+    n_both = int(gt_sizes.sum() + pred_sizes.sum())
+    dice_all = 1.0 if n_both == 0 else 2.0 * int(counts.sum()) / n_both
 
-    # every intersecting voxel sits in exactly one (gt, pred) component pair
-    n_gt = int(gt_set.sizes.sum())
-    n_pred_total = int(pred_set.sizes.sum())
-    n_inter = sum(overlaps.values())
-    dice_all = 1.0 if n_gt + n_pred_total == 0 else 2.0 * n_inter / (n_gt + n_pred_total)
+    matched = counts >= match_min_overlap * pred_sizes[pj - 1]
+    n_nodes = gt_set.count + 1
+    inter = np.bincount(gi[matched], counts[matched], minlength=n_nodes)[1:]
+    union = np.bincount(gi[matched], pred_sizes[pj[matched] - 1], minlength=n_nodes)[1:]
+    node_dice = (2.0 * inter / (gt_sizes + union)).tolist()
 
-    gt_sizes = gt_set.sizes
-    pred_sizes = pred_set.sizes
-    matched_preds: dict[int, list[int]] = {i: [] for i in range(1, gt_set.count + 1)}
-    matched_any_pred = set()
-    overlapped_gt = set()
-    for (i, j), n_vox in overlaps.items():
-        overlapped_gt.add(i)
-        if n_vox >= match_min_overlap * pred_sizes[j - 1]:
-            matched_preds[i].append(j)
-            matched_any_pred.add(j)
-
-    per_node = []
-    for i in range(1, gt_set.count + 1):
-        js = matched_preds[i]
-        inter = sum(overlaps[(i, j)] for j in js)
-        union_pred = int(pred_sizes[[j - 1 for j in js]].sum()) if js else 0
-        d = 2.0 * inter / (int(gt_sizes[i - 1]) + union_pred) if (gt_sizes[i - 1] + union_pred) else 1.0
-        per_node.append((measurements[i - 1], d))
-
-    def stratum_dice(node_ids: list[int]) -> float | None:
-        if not node_ids:
+    def stratum_dice(nodes) -> float | None:
+        if not nodes:
             return None
-        js = sorted({j for i in node_ids for j in matched_preds[i]})
-        g_total = int(gt_sizes[[i - 1 for i in node_ids]].sum())
-        p_total = int(pred_sizes[[j - 1 for j in js]].sum()) if js else 0
+        in_stratum = np.zeros(n_nodes, dtype=bool)
+        in_stratum[[m.component_index for m in nodes]] = True
+        hit = np.zeros(pred_set.count + 1, dtype=bool)
+        hit[pj[matched & in_stratum[gi]]] = True
         # every overlap between the stratum's GT voxels and the matched
         # components counts, also pairs below the matching threshold
-        inter = sum(overlaps.get((i, j), 0) for i in node_ids for j in js)
-        return 2.0 * inter / (g_total + p_total) if (g_total + p_total) else 1.0
-
-    large_ids = [m.component_index for m in measurements if m.sad_mm >= threshold_mm]
-    small_ids = [m.component_index for m in measurements if m.sad_mm < threshold_mm]
+        both = int(counts[in_stratum[gi] & hit[pj]].sum())
+        return 2.0 * both / int(gt_sizes[in_stratum[1:]].sum() + pred_sizes[hit[1:]].sum())
 
     return PatientReport(
         patient_id=patient_id,
         dice_all=dice_all,
-        dice_large=stratum_dice(large_ids),
-        dice_small=stratum_dice(small_ids),
-        per_node=tuple(per_node),
+        dice_large=stratum_dice(large),
+        dice_small=stratum_dice(small),
+        per_node=tuple(zip(measurements, node_dice)),
         gt_node_count=gt_set.count,
-        detected_count=len(overlapped_gt),
-        unmatched_pred_count=pred_set.count - len(matched_any_pred),
+        detected_count=len(np.unique(gi)),
+        unmatched_pred_count=pred_set.count - len(np.unique(pj[matched])),
     )
 
 

@@ -12,6 +12,7 @@ Supported datatype codes: 2 (uint8), 4 (int16), 8 (int32), 16 (float32).
 from __future__ import annotations
 
 import gzip
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,6 +163,9 @@ def _parse_header(raw: bytes, path) -> tuple[HeaderInfo, np.void]:
     code = int(hdr["datatype"])
     if code not in DTYPE_FOR_CODE:
         raise UnsupportedDatatypeError(f"{path}: unsupported NIfTI datatype code {code}")
+    bitpix = int(hdr["bitpix"])
+    if bitpix != 8 * np.dtype(DTYPE_FOR_CODE[code]).itemsize:
+        raise NiftiFormatError(f"{path}: bitpix {bitpix} does not match datatype code {code}")
 
     spacing = tuple(float(hdr["pixdim"][i]) for i in (1, 2, 3))
     # tolerate missing spacing on collapsed axes only
@@ -215,14 +219,14 @@ def read_volume(path, kind: str | None = None) -> Volume:
     path = Path(path)
     with _open_for_read(path) as f:
         info, _ = _parse_header(f.read(HEADER_SIZE), path)
-        f.read(info.vox_offset - HEADER_SIZE)
         dtype = np.dtype(DTYPE_FOR_CODE[info.datatype_code]).newbyteorder(info.byte_order)
         expected = int(np.prod(info.dims)) * dtype.itemsize
+        if not isinstance(f, gzip.GzipFile):
+            # checked before reading, so forged dims cannot ask for a huge buffer
+            _check_payload(os.fstat(f.fileno()).st_size - info.vox_offset, expected, path)
+        f.read(info.vox_offset - HEADER_SIZE)
         payload = f.read(expected)
-    if len(payload) < expected:
-        raise TruncatedFileError(
-            f"{path}: voxel payload is {len(payload)} bytes, header promises {expected}"
-        )
+    _check_payload(len(payload), expected, path)
 
     data = np.frombuffer(payload, dtype=dtype)
     if info.byte_order == ">":
@@ -237,6 +241,13 @@ def read_volume(path, kind: str | None = None) -> Volume:
     if kind is None:
         kind = "label" if (data.dtype == np.uint8 and not scaled) else "scalar"
     return Volume(data, info.spacing, info.affine, kind=kind, description=info.description)
+
+
+def _check_payload(available: int, expected: int, path) -> None:
+    if available < expected:
+        raise TruncatedFileError(
+            f"{path}: voxel payload is {max(available, 0)} bytes, header promises {expected}"
+        )
 
 
 def _storage_dtype(volume: Volume) -> np.dtype:
@@ -304,7 +315,8 @@ def write_volume(volume: Volume, path, compress: bool | None = None) -> None:
 
     if compress is None:
         compress = path.suffix == ".gz"
-    payload = data.tobytes(order="F")
+    # the voxels in Fortran order, without a copy when data already is
+    payload = np.asfortranarray(data).T
     if compress:
         # fixed mtime keeps output byte-identical across runs
         with open(path, "wb") as raw:

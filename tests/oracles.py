@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch against the published
 definitions (file-format field table, adjacency definitions, textbook
 formulas) and shares no code with the package: struct-based NIfTI parsing,
 deque flood fill, all-pairs hull construction, direction-sweep widths,
-per-voxel loss loops, per-voxel precedence replay.
+per-voxel loss loops, per-voxel precedence replay, per-node dense-mask
+evaluation (which takes its node measurements as input).
 """
 
 from __future__ import annotations
@@ -93,6 +94,58 @@ def flood_fill_components(mask: np.ndarray, connectivity: int) -> np.ndarray:
                     labels[nb] = next_id
                     queue.append(nb)
     return labels.reshape(padded.shape)[1:-1, 1:-1, 1:-1]
+
+
+def naive_evaluate(gt: np.ndarray, pred: np.ndarray, measurements, threshold_mm: float,
+                   connectivity: int, match_min_overlap: float) -> dict:
+    """The PatientReport fields (all but patient_id) of one GT/prediction pair,
+    from flood-fill components, one dense mask per component and Python loops.
+
+    measurements are the GT nodes' morphometry records in flood-fill order;
+    their SAD picks each node's stratum (large means sad_mm >= threshold).
+    A predicted component is matched to a node it overlaps by at least one
+    voxel and by at least match_min_overlap of its own voxels.
+    """
+    gt_ids = flood_fill_components(gt != 0, connectivity)
+    pred_ids = flood_fill_components(pred != 0, connectivity)
+    nodes = [gt_ids == i for i in range(1, int(gt_ids.max()) + 1)]
+    comps = [pred_ids == j for j in range(1, int(pred_ids.max()) + 1)]
+    assert [m.voxel_count for m in measurements] == [int(n.sum()) for n in nodes]
+
+    def count(mask):
+        return int(np.count_nonzero(mask))
+
+    matches = []  # (node index, component index) of each matched pair
+    detected = 0
+    for i, node in enumerate(nodes):
+        hits = [j for j, comp in enumerate(comps) if count(node & comp) > 0]
+        detected += bool(hits)
+        matches += [(i, j) for j in hits
+                    if count(node & comps[j]) >= match_min_overlap * count(comps[j])]
+
+    def union(masks):
+        out = np.zeros(gt.shape, dtype=bool)
+        for m in masks:
+            out |= m
+        return out
+
+    def dice_of(node_list):
+        g = union(nodes[i] for i in node_list)
+        p = union(comps[j] for j in {j for i, j in matches if i in node_list})
+        return 2.0 * count(g & p) / (count(g) + count(p))
+
+    n_all = count(gt != 0) + count(pred != 0)
+    large = [i for i, m in enumerate(measurements) if m.sad_mm >= threshold_mm]
+    small = [i for i, m in enumerate(measurements) if m.sad_mm < threshold_mm]
+    return {
+        "dice_all": 1.0 if n_all == 0 else 2.0 * count((gt != 0) & (pred != 0)) / n_all,
+        "dice_large": dice_of(large) if large else None,
+        "dice_small": dice_of(small) if small else None,
+        "per_node": tuple((m, dice_of([i])) for i, m in enumerate(measurements)),
+        "gt_node_count": len(nodes),
+        "detected_count": detected,
+        "unmatched_pred_count": len(comps) - len({j for _, j in matches}),
+    }
 
 
 def brute_hull_vertices(points: np.ndarray) -> set:

@@ -153,6 +153,22 @@ def test_eval_grid_mismatch_exit_code(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("option", [["--threshold", "nan"], ["--threshold", "-3"],
+                                    ["--min-overlap", "nan"], ["--min-overlap", "2"]],
+                         ids=["threshold-nan", "threshold-negative",
+                              "min-overlap-nan", "min-overlap-2"])
+def test_eval_rejects_out_of_range_option(tmp_path, capsys, option):
+    # a NaN or negative threshold misplaces every node, an overlap fraction
+    # outside [0, 1] zeroes the stratum Dice of a perfect prediction
+    write_mask(tmp_path / "g.nii.gz", two_node_arr())
+    out_json = tmp_path / "report.json"
+    rc = main(["eval", "--gt", str(tmp_path / "g.nii.gz"), "--pred", str(tmp_path / "g.nii.gz"),
+               "--out-json", str(out_json), *option])
+    assert rc == 1
+    assert not out_json.exists()
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--bogus"])

@@ -95,19 +95,26 @@ def test_sparse_route_matches_flood_fill(connectivity, density):
 
 @pytest.mark.parametrize("connectivity", [6, 18, 26])
 def test_sparse_and_dense_routes_agree(connectivity):
-    from nodemetry.components import _label_dense, _sparse_component_labels
+    from nodemetry.components import _graph_ids, _ndimage_ids, _scan_order
     for seed in range(8):
         rng = np.random.default_rng(seed)
         mask = rng.random((24, 24, 24)) < rng.uniform(0.01, 0.4)
         if not mask.any():
             continue
-        dense, n_dense = _label_dense(mask, connectivity)
-        coords = np.argwhere(mask)
-        labels, n_sparse = _sparse_component_labels(coords, mask.shape, connectivity)
-        sparse = np.zeros(mask.shape, dtype=np.int64)
-        sparse[coords[:, 0], coords[:, 1], coords[:, 2]] = labels
-        assert n_dense == n_sparse
-        assert np.array_equal(dense, sparse)
+        keys, coords = np.flatnonzero(mask), np.argwhere(mask)
+        labels, count = _scan_order(_graph_ids(keys, coords, mask.shape, connectivity))
+        dense_labels, dense_count = _scan_order(_ndimage_ids(mask, coords, connectivity))
+        assert count == dense_count
+        assert np.array_equal(labels, dense_labels)
+
+
+def test_scan_order_ranks_raw_ids_by_first_appearance():
+    # both labeling routes happen to emit scan-ordered ids; the ranking must
+    # not depend on that
+    from nodemetry.components import _scan_order
+    labels, count = _scan_order(np.array([7, 7, 2, 9, 2, 0, 7]))
+    assert count == 4
+    assert labels.tolist() == [1, 1, 2, 3, 2, 4, 1]
 
 
 def test_scan_order_and_determinism(rng):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import nodemetry as nm
 from nodemetry.metrics import _bce_arrays, _check_probabilities, _pair_overlaps
 from conftest import make_volume
-from oracles import naive_composite_loss, naive_dice
+from oracles import naive_composite_loss, naive_dice, naive_evaluate
 
 
 def binvol(data, spacing=(1.0, 1.0, 1.0)):
@@ -173,8 +173,9 @@ def test_stratify_is_partition(rng):
 
 
 def test_stratify_bad_threshold():
-    with pytest.raises(nm.ValidationError):
-        nm.stratify([], 0.0)
+    for threshold in (0.0, -3.0, math.nan):
+        with pytest.raises(nm.ValidationError):
+            nm.stratify([], threshold)
 
 
 # -- evaluate_patient ---------------------------------------------------------------
@@ -295,9 +296,31 @@ def test_pair_overlaps_match_dense_count(pair, connectivity):
     for idx in np.argwhere((gt != 0) & (pred != 0)):
         i, j, k = idx
         expected[(int(gt_set.component_of[i, j, k]), int(pred_set.component_of[i, j, k]))] += 1
-    got = _pair_overlaps(gt_set, pred_set)
+    gt_ids, pred_ids, counts = _pair_overlaps(gt_set, pred_set)
+    assert len(gt_ids) == len(pred_ids) == len(counts)
+    got = {(int(i), int(j)): int(c) for i, j, c in zip(gt_ids, pred_ids, counts)}
     assert got == dict(expected)
-    assert list(got) == sorted(got)  # matching walks pairs in (gt, pred) order
+    assert list(got) == sorted(got)  # rows come sorted by (gt, pred)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=mask_pairs(), connectivity=st.sampled_from((6, 18, 26)),
+       match_min_overlap=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+       threshold_mm=st.sampled_from((1.0, 1.5, 2.5, 8.0)))
+@example(pair=[LEFT, RIGHT], connectivity=26, match_min_overlap=0.0, threshold_mm=8.0)
+@example(pair=[np.zeros_like(LEFT), RIGHT], connectivity=6, match_min_overlap=0.5,
+         threshold_mm=2.5)
+def test_evaluate_patient_matches_naive_oracle(pair, connectivity, match_min_overlap,
+                                               threshold_mm):
+    gt, pred = pair
+    report = nm.evaluate_patient(binvol(gt), binvol(pred), threshold_mm=threshold_mm,
+                                 connectivity=connectivity,
+                                 match_min_overlap=match_min_overlap, patient_id="p")
+    measurements = nm.measure_components(nm.label_components(gt, connectivity), binvol(gt))
+    expected = nm.PatientReport("p", **naive_evaluate(gt, pred, measurements, threshold_mm,
+                                                      connectivity, match_min_overlap))
+    # repr compares every field exactly, Python float against NumPy scalar too
+    assert repr(report) == repr(expected)
 
 
 # -- aggregate ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nodemetry as nm
+from nodemetry.cli import main
 from conftest import make_volume
 from oracles import ref_read_nifti
 
@@ -93,6 +95,37 @@ def test_full_size_grid_voxel_count(tmp_path):
     nm.write_volume(v, tmp_path / "big.nii", compress=False)
     r = nm.read_volume(tmp_path / "big.nii")
     assert r.data.size == 512 * 512 * 829 == 217_317_376
+
+
+@pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+def test_write_streams_fortran_grid_without_copy(tmp_path, name):
+    data = np.zeros((256, 256, 256), np.uint8, order="F")
+    data[100:140, 90:120, 30:60] = 1
+    v = make_volume(data, kind="label")
+    tracemalloc.start()
+    try:
+        nm.write_volume(v, tmp_path / name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.nbytes / 4
+    assert np.array_equal(nm.read_volume(tmp_path / name).data, data)
+
+
+def test_forged_dims_rejected_before_reading(tmp_path):
+    # 32767^3 voxels promised, 12 bytes present: no 35 TB read is attempted
+    path = tmp_path / "forged.nii"
+    path.write_bytes(build_nifti_bytes(dims=(32767, 32767, 32767), payload=bytes(12)))
+    with pytest.raises(nm.TruncatedFileError, match="12 bytes"):
+        nm.read_volume(path)
+    assert main(["cc", "--mask", str(path), "--out-labels", str(tmp_path / "cc.nii")]) == 2
+
+
+def test_bitpix_must_match_datatype(tmp_path):
+    path = tmp_path / "v.nii"
+    path.write_bytes(build_nifti_bytes(datatype=2, bitpix=16, payload=bytes(12)))
+    with pytest.raises(nm.NiftiFormatError, match="bitpix"):
+        nm.read_volume(path)
 
 
 def test_truncated_payload(tmp_path):
