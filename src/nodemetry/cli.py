@@ -292,6 +292,7 @@ def _ln_mask(vol: Volume, ln_class: int) -> Volume:
 
 
 def _cmd_eval(args) -> int:
+    metrics.check_eval_options(args.threshold, args.min_overlap)
     pairs = _pair_volumes(args)
     config = {"command": "eval", "threshold_mm": args.threshold,
               "connectivity": args.connectivity, "match_min_overlap": args.min_overlap,

@@ -130,15 +130,27 @@ def composite_loss(probs: Volume, gt: Volume) -> float:
     return total / n_classes
 
 
+def _check_threshold(threshold_mm: float) -> None:
+    # negated so that NaN, which fails every comparison, is rejected too
+    if not threshold_mm > 0:
+        raise ValidationError(f"threshold must be positive, got {threshold_mm}")
+
+
+def check_eval_options(threshold_mm: float, match_min_overlap: float) -> None:
+    """Reject a SAD threshold that is not positive and a match_min_overlap
+    outside [0, 1], NaN included, before any volume is read or labeled."""
+    _check_threshold(threshold_mm)
+    if not 0.0 <= match_min_overlap <= 1.0:
+        raise ValidationError(f"match_min_overlap must lie in [0, 1], got {match_min_overlap}")
+
+
 def stratify(measurements, threshold_mm: float = DEFAULT_SAD_THRESHOLD_MM):
     """Split node measurements into (large, small) at the SAD threshold.
 
     Large means sad_mm >= threshold (the >= is inclusive: an exactly-8mm node
     is clinically significant).
     """
-    # negated so that NaN, which fails every comparison, is rejected too
-    if not threshold_mm > 0:
-        raise ValidationError(f"threshold must be positive, got {threshold_mm}")
+    _check_threshold(threshold_mm)
     large = tuple(m for m in measurements if m.sad_mm >= threshold_mm)
     small = tuple(m for m in measurements if m.sad_mm < threshold_mm)
     return large, small
@@ -172,8 +184,7 @@ def evaluate_patient(gt_ln: Volume, pred_ln: Volume,
     matched components; stratum Dice compares the union of the stratum's
     nodes against the union of components matched to any of them.
     """
-    if not 0.0 <= match_min_overlap <= 1.0:
-        raise ValidationError(f"match_min_overlap must lie in [0, 1], got {match_min_overlap}")
+    check_eval_options(threshold_mm, match_min_overlap)
     assert_same_grid(gt_ln, pred_ln)
     gt_c = canonicalize(gt_ln)
     pred_c = canonicalize(pred_ln)

@@ -7,6 +7,13 @@ short axis, mirroring how the caliper is placed on the slice where the node
 looks biggest. Footprints use voxel corners, not centers, so a single voxel
 measures its physical pixel size rather than zero.
 
+measure_components measures every node in one pass over its component set:
+one sort groups the voxels by (node, slice, row), and only the first and last
+voxel of a row can give hull vertices. Each slice is cut to the lowest and
+highest footprint corner on each x line, and one monotone chain runs over
+those; the hull, hence every result, equals the hull of all the slice's
+footprint corners.
+
 All lengths are world mm; the volume must be canonicalized (axial-last) so
 slice k means axial slice k and the in-plane spacing is spacing[0:2].
 """
@@ -55,6 +62,24 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _chain(pts: list) -> list:
+    """Counter-clockwise hull of points sorted by (x, y) and unique, by
+    monotone chain (Andrew 1979); collinear points are dropped."""
+    if len(pts) == 1:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) > 1 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) > 1 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Counter-clockwise convex hull by monotone chain.
 
@@ -64,22 +89,8 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.size == 0:
         raise EmptyInputError("no points")
-    pts = np.unique(pts, axis=0)  # sorts lexicographically
-    if len(pts) == 1:
-        return pts
-
-    lower = []
-    for p in pts:
-        while len(lower) > 1 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in pts[::-1]:
-        while len(upper) > 1 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return np.array(hull)
+    # np.unique sorts lexicographically
+    return np.array(_chain(np.unique(pts, axis=0).tolist()))
 
 
 def min_width(hull: np.ndarray) -> float:
@@ -112,6 +123,74 @@ def max_diameter(hull: np.ndarray) -> float:
     return float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
 
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Positions where any of the equally long key columns changes value,
+    the first position included."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
+
+
+def _measure(labels: np.ndarray, voxels: np.ndarray, volume: Volume) -> list[NodeMeasurement]:
+    """Measure the nodes of labeled voxels (one label per voxel), in
+    ascending label order.
+
+    One lexsort by (label, k, i, j) lines up each (node, slice, row) run.
+    Only a row's first and last voxel can carry hull vertices, and of the
+    corners on one x line (i +/- 1/2) only the lowest and highest, so each
+    slice keeps two points per x line, already sorted and unique, for the
+    monotone chain. The hull, hence the result, equals the one built from
+    every corner of slice_footprint.
+    """
+    if not is_canonical(volume):
+        raise ValidationError("volume must be canonicalized (axial-last) for measurement")
+    sx, sy, _ = volume.spacing
+    order = np.lexsort((voxels[:, 1], voxels[:, 0], voxels[:, 2], labels))
+    lab, i, j, k = labels[order], voxels[order, 0], voxels[order, 1], voxels[order, 2]
+    counts = np.diff(np.append(_starts(lab), len(lab))).tolist()
+
+    row = _starts(lab, k, i)
+    lo, hi = j[row], j[np.append(row[1:], len(j)) - 1]
+    # row i bounds the x lines i - 1/2 and i + 1/2, numbered i and i + 1;
+    # interleaved per row they stay sorted within a slice
+    line = np.repeat(i[row].astype(np.int64), 2)
+    line[1::2] += 1
+    lab, k, lo, hi = (np.repeat(a, 2) for a in (lab[row], k[row], lo, hi))
+    cut = _starts(lab, k, line)
+    # the arithmetic of slice_footprint, so the corners are the same floats
+    pts = np.empty((2 * len(cut), 2))
+    pts[:, 0] = np.repeat((line[cut] - 0.5) * sx, 2)
+    pts[0::2, 1] = (np.minimum.reduceat(lo, cut) - 0.5) * sy
+    pts[1::2, 1] = (np.maximum.reduceat(hi, cut) + 0.5) * sy
+    lab, k = lab[cut], k[cut]
+
+    slices = _starts(lab, k)
+    nodes = np.append(_starts(lab[slices]), len(slices)).tolist()
+    bounds = (2 * np.append(slices, len(cut))).tolist()
+    lab, k = lab[slices].tolist(), k[slices].tolist()
+    out = []
+    for n, count in enumerate(counts):
+        best_w, best_k, best_hull = -1.0, -1, None
+        for s in range(nodes[n], nodes[n + 1]):
+            # the chain runs fastest on Python floats; made per slice, few
+            # of them are alive at once
+            hull = np.array(_chain(pts[bounds[s]:bounds[s + 1]].tolist()))
+            w = min_width(hull)
+            if w > best_w:  # ties keep the smallest slice index
+                best_w, best_k, best_hull = w, k[s], hull
+        out.append(NodeMeasurement(
+            component_index=lab[nodes[n]],
+            sad_mm=best_w,
+            sad_slice_index=best_k,
+            long_axis_mm=max_diameter(best_hull),
+            volume_mm3=count * volume.voxel_volume_mm3,
+            voxel_count=count,
+        ))
+    return out
+
+
 def measure_node(voxels: np.ndarray, volume: Volume,
                  component_index: int = 0) -> NodeMeasurement:
     """Measure one node (list of voxel indices) on a canonicalized volume.
@@ -123,33 +202,14 @@ def measure_node(voxels: np.ndarray, volume: Volume,
     voxels = np.atleast_2d(np.asarray(voxels))
     if voxels.size == 0:
         raise EmptyInputError("empty component")
-    if not is_canonical(volume):
-        raise ValidationError("volume must be canonicalized (axial-last) for measurement")
-
-    sx, sy, _ = volume.spacing
-    best_w, best_k, best_hull = -1.0, -1, None
-    for k in np.unique(voxels[:, 2]):
-        ij = voxels[voxels[:, 2] == k, :2]
-        hull = convex_hull(slice_footprint(ij, (sx, sy)))
-        w = min_width(hull)
-        if w > best_w:
-            best_w, best_k, best_hull = w, int(k), hull
-
-    count = int(len(voxels))
-    return NodeMeasurement(
-        component_index=component_index,
-        sad_mm=best_w,
-        sad_slice_index=best_k,
-        long_axis_mm=max_diameter(best_hull),
-        volume_mm3=count * volume.voxel_volume_mm3,
-        voxel_count=count,
-    )
+    return _measure(np.full(len(voxels), component_index), voxels, volume)[0]
 
 
 def measure_components(cset: ComponentSet, volume: Volume) -> list[NodeMeasurement]:
     """Measure every component of a labeled mask, in component order."""
-    return [measure_node(cset.voxels(i), volume, component_index=i)
-            for i in range(1, cset.count + 1)]
+    if cset.count == 0:
+        return []
+    return _measure(cset.labels, cset.coords, volume)
 
 
 MEASUREMENT_COLUMNS = ("component_index", "voxel_count", "volume_mm3",

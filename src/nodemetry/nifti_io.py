@@ -30,6 +30,7 @@ HEADER_SIZE = 348
 MIN_VOX_OFFSET = 352  # 348-byte header + 4-byte extension flag
 MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
+_READ_CHUNK = 1 << 20  # bytes per read of a gzip payload
 
 # numpy dtype <-> NIfTI-1 datatype code, restricted to what the toolkit stores
 DTYPE_FOR_CODE = {2: "u1", 4: "i2", 8: "i4", 16: "f4"}
@@ -221,11 +222,14 @@ def read_volume(path, kind: str | None = None) -> Volume:
         info, _ = _parse_header(f.read(HEADER_SIZE), path)
         dtype = np.dtype(DTYPE_FOR_CODE[info.datatype_code]).newbyteorder(info.byte_order)
         expected = int(np.prod(info.dims)) * dtype.itemsize
-        if not isinstance(f, gzip.GzipFile):
+        gz = isinstance(f, gzip.GzipFile)
+        if not gz:
             # checked before reading, so forged dims cannot ask for a huge buffer
             _check_payload(os.fstat(f.fileno()).st_size - info.vox_offset, expected, path)
         f.read(info.vox_offset - HEADER_SIZE)
-        payload = f.read(expected)
+        # a .gz payload's length is unknown before reading: it is read in
+        # chunks, so forged dims cannot size the buffer either
+        payload = _read_chunked(f, expected) if gz else f.read(expected)
     _check_payload(len(payload), expected, path)
 
     data = np.frombuffer(payload, dtype=dtype)
@@ -241,6 +245,21 @@ def read_volume(path, kind: str | None = None) -> Volume:
     if kind is None:
         kind = "label" if (data.dtype == np.uint8 and not scaled) else "scalar"
     return Volume(data, info.spacing, info.affine, kind=kind, description=info.description)
+
+
+def _read_chunked(f, size: int) -> bytearray:
+    """Up to size bytes of f, read in bounded chunks until EOF.
+
+    The buffer grows only as data arrives (in place, not by joining chunks),
+    so its peak is the bytes present plus one chunk, whatever size claims.
+    """
+    buf = bytearray()
+    while len(buf) < size:
+        chunk = f.read(min(_READ_CHUNK, size - len(buf)))
+        if not chunk:
+            break
+        buf += chunk
+    return buf
 
 
 def _check_payload(available: int, expected: int, path) -> None:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -167,6 +168,31 @@ def test_eval_rejects_out_of_range_option(tmp_path, capsys, option):
     assert rc == 1
     assert not out_json.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_checks_options_before_reading(tmp_path, monkeypatch):
+    # a bad threshold is rejected before any grid is read or labeled
+    import nodemetry.cli as cli
+    import nodemetry.metrics as metrics
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "read_volume")
+    counted(cli, "label_components")
+    counted(metrics, "label_components")
+    write_mask(tmp_path / "g.nii.gz", two_node_arr())
+    rc = main(["eval", "--gt", str(tmp_path / "g.nii.gz"), "--pred", str(tmp_path / "g.nii.gz"),
+               "--threshold", "nan"])
+    assert rc == 1
+    assert calls["read_volume"] == 0
+    assert calls["label_components"] == 0
 
 
 def test_unknown_flag_exits_1(capsys):

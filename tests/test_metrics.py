@@ -180,6 +180,19 @@ def test_stratify_bad_threshold():
 
 # -- evaluate_patient ---------------------------------------------------------------
 
+@pytest.mark.parametrize("options", [{"threshold_mm": math.nan}, {"threshold_mm": 0.0},
+                                     {"match_min_overlap": math.nan},
+                                     {"match_min_overlap": 1.5}])
+def test_evaluate_checks_options_before_labeling(monkeypatch, options):
+    import nodemetry.metrics as metrics
+    calls = []
+    monkeypatch.setattr(metrics, "label_components", lambda *a: calls.append(a))
+    gt = binvol(two_node_scene())
+    with pytest.raises(nm.ValidationError):
+        nm.evaluate_patient(gt, gt, **options)
+    assert calls == []
+
+
 def two_node_scene():
     """One large node (13 voxel in-plane diameter -> SAD 13) and one small (3)."""
     gt = np.zeros((40, 40, 12), np.uint8)

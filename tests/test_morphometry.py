@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nodemetry as nm
 from nodemetry.morphometry import max_diameter
@@ -190,6 +192,11 @@ def test_measure_requires_canonical():
     vol = nm.Volume(np.ones((2, 2, 2), np.uint8), (1, 1, 1), affine, kind="label")
     with pytest.raises(nm.ValidationError, match="canonical"):
         nm.measure_node(np.array([[0, 0, 0]]), vol)
+    with pytest.raises(nm.ValidationError, match="canonical"):
+        nm.measure_components(nm.label_components(vol, 26), vol)
+    # with no node there is nothing to measure, whatever the orientation
+    empty = nm.Volume(np.zeros((2, 2, 2), np.uint8), (1, 1, 1), affine, kind="label")
+    assert nm.measure_components(nm.label_components(empty, 26), empty) == []
 
 
 def test_sad_scales_with_spacing(rng):
@@ -232,6 +239,83 @@ def test_sad_bounds(rng):
                 diams.append(max_diameter(nm.convex_hull(
                     nm.slice_footprint(ij, spacing[:2]))))
             assert meas.sad_mm <= max(diams) + 1e-12
+
+
+# -- measure_components against the per-slice reference ---------------------------
+
+def reference_measurement(voxels, volume, index):
+    """Per slice, the width of the hull of every footprint corner; the first
+    slice of largest width, and the long axis on it."""
+    spacing = volume.spacing[:2]
+    best_w, best_k, best_hull = -1.0, -1, None
+    for k in np.unique(voxels[:, 2]):
+        hull = nm.convex_hull(nm.slice_footprint(voxels[voxels[:, 2] == k, :2], spacing))
+        w = nm.min_width(hull)
+        if w > best_w:
+            best_w, best_k, best_hull = w, int(k), hull
+    return nm.NodeMeasurement(index, best_w, best_k, max_diameter(best_hull),
+                              len(voxels) * volume.voxel_volume_mm3, len(voxels))
+
+
+def grid(shape, *boxes):
+    mask = np.zeros(shape, np.uint8)
+    for box in boxes:
+        mask[box] = 1
+    return mask
+
+
+GAPPED_ROWS = grid((6, 9, 2), np.s_[1, 0:2, 0], np.s_[1, 5:9, 0], np.s_[2, 3, 0],
+                   np.s_[4, 1:8:3, 0], np.s_[0:6:2, 4, 1])
+ONE_VOXEL_SLICES = grid((5, 5, 4), np.s_[2, 2, 0], np.s_[1:4, 1:4, 1], np.s_[3, 3, 2])
+ONE_ROW_SLICES = grid((7, 7, 3), np.s_[3, 0:7, 0], np.s_[1:5, 2:4, 1], np.s_[2, 1:6, 2])
+# the same SAD on slices 1 and 3, joined through one voxel on slice 2
+EQUAL_WIDTHS = grid((8, 8, 5), np.s_[1:4, 2:6, 1], np.s_[3, 3, 2], np.s_[4:7, 1:5, 3])
+GRID_EDGES = grid((6, 5, 3), np.s_[0, :, 0], np.s_[:, 0, 0], np.s_[5, :, 2], np.s_[:, 4, 2],
+                  np.s_[0, 0, 1], np.s_[5, 4, 1])
+
+
+@st.composite
+def node_masks(draw):
+    """Scattered voxels plus a box on a small grid."""
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)))
+    mask = np.zeros(shape, dtype=np.uint8)
+    mask.ravel()[sorted(draw(st.sets(st.integers(0, mask.size - 1), max_size=40)))] = 1
+    lo = [draw(st.integers(0, n - 1)) for n in shape]
+    hi = [draw(st.integers(a, n)) for a, n in zip(lo, shape)]
+    mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = 1
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=node_masks(), connectivity=st.sampled_from((6, 18, 26)),
+       spacing=st.sampled_from(((0.9, 0.8, 0.7), (1.0, 1.0, 1.25), (0.7, 1.1, 2.0),
+                                (0.3, 2.7, 1.0))))
+@example(mask=GAPPED_ROWS, connectivity=6, spacing=(0.9, 0.8, 0.7))
+@example(mask=GAPPED_ROWS, connectivity=26, spacing=(1.0, 1.0, 1.25))
+@example(mask=ONE_VOXEL_SLICES, connectivity=6, spacing=(0.9, 0.8, 0.7))
+@example(mask=ONE_ROW_SLICES, connectivity=26, spacing=(0.9, 0.8, 0.7))
+@example(mask=EQUAL_WIDTHS, connectivity=26, spacing=(1.0, 1.0, 1.25))
+@example(mask=GRID_EDGES, connectivity=18, spacing=(0.9, 0.8, 0.7))
+def test_measure_components_equals_per_slice_reference(mask, connectivity, spacing):
+    vol = make_volume(mask, spacing=spacing)
+    cset = nm.label_components(vol, connectivity)
+    got = nm.measure_components(cset, vol)
+    assert got == [reference_measurement(cset.voxels(i), vol, i)
+                   for i in range(1, cset.count + 1)]
+    for i in range(1, cset.count + 1):
+        assert nm.measure_node(cset.voxels(i), vol, i) == got[i - 1]
+
+
+def test_equal_widths_keep_first_slice():
+    vol = make_volume(EQUAL_WIDTHS)
+    (m,) = nm.measure_components(nm.label_components(vol, 26), vol)
+    assert m.sad_mm == pytest.approx(3.0)
+    assert m.sad_slice_index == 1
+
+
+def test_measure_components_empty_set():
+    vol = make_volume(np.zeros((3, 3, 3), np.uint8))
+    assert nm.measure_components(nm.label_components(vol, 26), vol) == []
 
 
 def test_measurements_csv_format():

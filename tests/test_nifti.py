@@ -121,6 +121,17 @@ def test_forged_dims_rejected_before_reading(tmp_path):
     assert main(["cc", "--mask", str(path), "--out-labels", str(tmp_path / "cc.nii")]) == 2
 
 
+def test_forged_dims_in_gzip_rejected_without_huge_buffer(tmp_path):
+    # the uncompressed length of a .gz is unknown up front: the payload is
+    # read in bounded chunks and its end reached long before 35 TB
+    path = tmp_path / "forged.nii.gz"
+    path.write_bytes(gzip.compress(
+        build_nifti_bytes(dims=(32767, 32767, 32767), payload=bytes(12))))
+    with pytest.raises(nm.TruncatedFileError, match="12 bytes"):
+        nm.read_volume(path)
+    assert main(["cc", "--mask", str(path), "--out-labels", str(tmp_path / "cc.nii")]) == 2
+
+
 def test_bitpix_must_match_datatype(tmp_path):
     path = tmp_path / "v.nii"
     path.write_bytes(build_nifti_bytes(datatype=2, bitpix=16, payload=bytes(12)))
