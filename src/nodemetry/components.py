@@ -15,6 +15,12 @@ flood-fill reference. A ComponentSet carries its foreground voxels as sorted
 C-order linear keys (which is scan order) with their component ids, so
 overlaps between two sets are a key intersection, not a grid pass; voxel
 coordinates are derived from the keys when asked for.
+
+scipy is imported by the labeling routes themselves, at their first call:
+the graph route loads scipy.sparse.csgraph, the ndimage route scipy.ndimage.
+Importing this module (and so the package and its CLI) loads numpy only, and
+commands that never label a mask (fuse, ensemble, loss, phantom) start
+without scipy.
 """
 
 from __future__ import annotations
@@ -23,9 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _graph_components
 
 from .errors import ValidationError
 from .volume import Volume
@@ -185,6 +188,9 @@ def _graph_ids(keys: np.ndarray, coords: np.ndarray, shape, connectivity: int) -
     keys must be ascending. Cost scales with the foreground count, not the
     grid, which is what node masks on CT grids need.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = len(keys)
     _, sy, sz = shape
     rows, cols = [], []
@@ -206,12 +212,14 @@ def _graph_ids(keys: np.ndarray, coords: np.ndarray, shape, connectivity: int) -
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    return _graph_components(graph, directed=False)[1]
+    return connected_components(graph, directed=False)[1]
 
 
 def _ndimage_ids(data: np.ndarray, coords: np.ndarray, connectivity: int) -> np.ndarray:
     """Raw component id per foreground voxel from ndimage labeling of the
     foreground bounding box (components cannot cross empty space)."""
+    from scipy import ndimage
+
     # per-axis reductions: one over all three columns walks them strided
     box = tuple(slice(int(c.min()), int(c.max()) + 1) for c in coords.T)
     structure = ndimage.generate_binary_structure(3, _RANK[connectivity])

@@ -7,12 +7,16 @@ float32 fields, so spacing/affine values survive a round trip exactly once
 they are float32-representable.
 
 Supported datatype codes: 2 (uint8), 4 (int16), 8 (int32), 16 (float32).
+
+A .nii.gz is inflated by zlib in bounded chunks to the end of the stream, so
+every gzip trailer is checked and a broken stream never yields voxels.
 """
 
 from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,21 +196,80 @@ def _parse_header(raw: bytes, path) -> tuple[HeaderInfo, np.void]:
     return info, hdr
 
 
-def _open_for_read(path: Path):
-    f = open(path, "rb")
+class _GzipReader:
+    """The inflated bytes of a gzip file, read like a file.
+
+    Compressed input is fed in _READ_CHUNK pieces and no inflate call returns
+    more than one chunk, so output is sized by what is asked for, never by the
+    stream. Members follow one another as in the gzip format (zero padding
+    between them is skipped), and zlib checks each member's CRC32 and length
+    trailer as it ends: a corrupt stream is a NiftiFormatError, one that ends
+    early a TruncatedFileError.
+    """
+
+    def __init__(self, f, path):
+        self._f, self._path = f, path
+        self._inflater = zlib.decompressobj(31)
+        self._pending = b""  # compressed input not yet inflated
+
+    def read(self, size: int) -> bytearray:
+        """Up to size inflated bytes, fewer only where the stream ends.
+
+        The buffer grows in place as data arrives, so its peak is the bytes
+        present plus one chunk, whatever size claims.
+        """
+        buf = bytearray()
+        while len(buf) < size:
+            piece = self._inflate(min(_READ_CHUNK, size - len(buf)))
+            if piece is None:
+                break
+            buf += piece
+        return buf
+
+    def finish(self) -> None:
+        """Inflate to the end of the last member, checking every trailer;
+        any byte not yet read means more data than the header promises."""
+        if self._inflate(1) is not None:
+            raise NiftiFormatError(f"{self._path}: more voxel data than the header promises")
+
+    def _inflate(self, limit: int) -> bytes | None:
+        """Next 1..limit inflated bytes, or None at the end of the stream."""
+        while True:
+            if not self._pending:
+                self._pending = self._f.read(_READ_CHUNK)
+                if not self._pending:
+                    if self._inflater.eof:
+                        return None
+                    raise TruncatedFileError(f"{self._path}: gzip stream ends early")
+            if self._inflater.eof:
+                self._pending = self._pending.lstrip(b"\x00")
+                if not self._pending:
+                    continue
+                self._inflater = zlib.decompressobj(31)
+            try:
+                out = self._inflater.decompress(self._pending, limit)
+            except zlib.error as exc:
+                raise NiftiFormatError(f"{self._path}: corrupt gzip stream: {exc}") from None
+            if self._inflater.eof:
+                self._pending = self._inflater.unused_data
+            else:
+                self._pending = self._inflater.unconsumed_tail
+            if out:
+                return out
+
+
+def _open_for_read(f, path):
+    """f itself, or a _GzipReader over it when it starts with the gzip magic."""
     head = f.read(2)
     f.seek(0)
-    if head == b"\x1f\x8b":
-        f.close()
-        return gzip.open(path, "rb")
-    return f
+    return _GzipReader(f, path) if head == b"\x1f\x8b" else f
 
 
 def read_header(path) -> HeaderInfo:
     """Parse the header of a (possibly gzipped) NIfTI-1 single file."""
     path = Path(path)
-    with _open_for_read(path) as f:
-        return _parse_header(f.read(HEADER_SIZE), path)[0]
+    with open(path, "rb") as raw:
+        return _parse_header(bytes(_open_for_read(raw, path).read(HEADER_SIZE)), path)[0]
 
 
 def read_volume(path, kind: str | None = None) -> Volume:
@@ -218,18 +281,22 @@ def read_volume(path, kind: str | None = None) -> Volume:
     kind to override.
     """
     path = Path(path)
-    with _open_for_read(path) as f:
-        info, _ = _parse_header(f.read(HEADER_SIZE), path)
+    with open(path, "rb") as raw:
+        f = _open_for_read(raw, path)
+        info, _ = _parse_header(bytes(f.read(HEADER_SIZE)), path)
         dtype = np.dtype(DTYPE_FOR_CODE[info.datatype_code]).newbyteorder(info.byte_order)
         expected = int(np.prod(info.dims)) * dtype.itemsize
-        gz = isinstance(f, gzip.GzipFile)
+        gz = f is not raw
         if not gz:
             # checked before reading, so forged dims cannot ask for a huge buffer
-            _check_payload(os.fstat(f.fileno()).st_size - info.vox_offset, expected, path)
+            _check_payload(os.fstat(raw.fileno()).st_size - info.vox_offset, expected, path)
         f.read(info.vox_offset - HEADER_SIZE)
-        # a .gz payload's length is unknown before reading: it is read in
-        # chunks, so forged dims cannot size the buffer either
-        payload = _read_chunked(f, expected) if gz else f.read(expected)
+        # a .gz payload's length is unknown before reading: it is inflated in
+        # chunks, so forged dims cannot size the buffer either, and the rest
+        # of the stream is inflated too, so that its trailers are checked
+        payload = f.read(expected)
+        if gz:
+            f.finish()
     _check_payload(len(payload), expected, path)
 
     data = np.frombuffer(payload, dtype=dtype)
@@ -245,21 +312,6 @@ def read_volume(path, kind: str | None = None) -> Volume:
     if kind is None:
         kind = "label" if (data.dtype == np.uint8 and not scaled) else "scalar"
     return Volume(data, info.spacing, info.affine, kind=kind, description=info.description)
-
-
-def _read_chunked(f, size: int) -> bytearray:
-    """Up to size bytes of f, read in bounded chunks until EOF.
-
-    The buffer grows only as data arrives (in place, not by joining chunks),
-    so its peak is the bytes present plus one chunk, whatever size claims.
-    """
-    buf = bytearray()
-    while len(buf) < size:
-        chunk = f.read(min(_READ_CHUNK, size - len(buf)))
-        if not chunk:
-            break
-        buf += chunk
-    return buf
 
 
 def _check_payload(available: int, expected: int, path) -> None:

@@ -160,17 +160,17 @@ def brute_hull_vertices(points: np.ndarray) -> set:
         return {tuple(p) for p in pts}
     verts = set()
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            e = pts[j] - pts[i]
-            rel = pts - pts[i]
-            cross = e[0] * rel[:, 1] - e[1] * rel[:, 0]
-            others = np.ones(n, dtype=bool)
-            others[[i, j]] = False
-            if np.all(cross[others] > 0):
-                verts.add(tuple(pts[i]))
-                verts.add(tuple(pts[j]))
+        # row j of the (n, n) cross matrix tests edge i -> j against every point
+        rel = pts - pts[i]
+        e = rel  # row j is the edge i -> j
+        cross = e[:, 0, None] * rel[:, 1] - e[:, 1, None] * rel[:, 0]
+        cross[:, i] = np.inf  # point i and point j are not "others"
+        np.fill_diagonal(cross, np.inf)
+        hull_edge = np.all(cross > 0, axis=1)
+        hull_edge[i] = False
+        if hull_edge.any():
+            verts.add(tuple(pts[i]))
+            verts.update(tuple(p) for p in pts[hull_edge])
     return verts
 
 

@@ -1,0 +1,100 @@
+"""scipy is loaded only where a mask is labeled.
+
+Each check runs in a fresh interpreter, since the test process itself has
+scipy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nodemetry as nm
+from conftest import make_volume
+
+SRC = str(Path(nm.__file__).resolve().parents[1])
+
+# prints the loaded scipy modules after the snippet ran
+_REPORT = ("\nimport json, sys\n"
+           "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+
+
+def scipy_modules(snippet: str) -> set[str]:
+    """scipy modules in sys.modules after snippet runs in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", snippet + _REPORT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_import_cli_loads_no_scipy():
+    assert scipy_modules("import nodemetry, nodemetry.cli") == set()
+
+
+def _write(path, data, kind):
+    nm.write_volume(make_volume(data, kind=kind), path)
+
+
+@pytest.fixture
+def tiny_inputs(tmp_path):
+    shape = (6, 5, 4)
+    rng = np.random.default_rng(5)
+    anatomy = tmp_path / "anatomy"; anatomy.mkdir()
+    spleen = np.zeros(shape, np.uint8); spleen[1:3, 1:3, 1:3] = 1
+    _write(anatomy / "spleen.nii.gz", spleen, "label")
+    ln = np.zeros(shape, np.uint8); ln[4, 3, 2] = 1
+    _write(tmp_path / "ln.nii.gz", ln, "label")
+    probs = tmp_path / "probs"; probs.mkdir()
+    for fold in range(2):
+        raw = rng.random(shape + (2,)).astype(np.float32)
+        raw /= raw.sum(axis=3, keepdims=True)
+        for c in range(2):
+            _write(probs / f"fold{fold}_class{c}.nii.gz", raw[..., c], "scalar")
+            if fold == 0:
+                _write(probs / f"class{c}.nii.gz", raw[..., c], "scalar")
+    for fold in range(3):
+        _write(tmp_path / f"labels{fold}.nii.gz",
+               rng.integers(0, 2, shape).astype(np.uint8), "label")
+    (tmp_path / "spec.txt").write_text("dims = 16 16 10\nspacing = 1 1 1\n"
+                                       "node = 8 8 5  3 2 2  0\n")
+    return tmp_path
+
+
+def _argv(cmd, d):
+    return {
+        "fuse": ["fuse", "--anatomy-dir", f"{d}/anatomy", "--ln", f"{d}/ln.nii.gz",
+                 "--out", f"{d}/fused.nii.gz"],
+        "ensemble_probs": ["ensemble", "--prob-dir", f"{d}/probs", "--out", f"{d}/e.nii.gz"],
+        "ensemble_labels": ["ensemble", "--labels", *(f"{d}/labels{i}.nii.gz" for i in range(3)),
+                            "--out", f"{d}/v.nii.gz"],
+        "loss": ["loss", "--prob-dir", f"{d}/probs", "--gt", f"{d}/labels0.nii.gz"],
+        "phantom": ["phantom", "--spec", f"{d}/spec.txt", "--out", f"{d}/ph.nii.gz"],
+    }[cmd]
+
+
+@pytest.mark.parametrize("cmd", ["fuse", "ensemble_probs", "ensemble_labels", "loss", "phantom"])
+def test_commands_without_labeling_load_no_scipy(tiny_inputs, cmd):
+    argv = _argv(cmd, tiny_inputs)
+    snippet = ("from nodemetry.cli import main\n"
+               f"assert main({argv!r}) == 0\n")
+    assert scipy_modules(snippet) == set()
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_labeling_loads_only_its_route(dense):
+    # one voxel of 1000 is under _SPARSE_DENSITY; half the grid is over it
+    snippet = ("import numpy as np\nfrom nodemetry.components import _SPARSE_DENSITY, "
+               "label_components\n"
+               "mask = np.zeros((10, 10, 10), np.uint8)\n"
+               f"mask[{':5' if dense else '3, 3, 3'}] = 1\n"
+               f"assert bool(np.count_nonzero(mask) > _SPARSE_DENSITY * mask.size) is {dense}\n"
+               "assert label_components(mask).count == 1\n")
+    loaded = scipy_modules(snippet)
+    assert ("scipy.ndimage" in loaded) is dense
+    assert ("scipy.sparse.csgraph" in loaded) is not dense

@@ -311,3 +311,55 @@ def test_gzip_output_is_gzip(tmp_path):
     blob = (tmp_path / "v.nii.gz").read_bytes()
     assert blob[:2] == b"\x1f\x8b"
     assert len(gzip.decompress(blob)) == 352 + 64
+
+
+GZ_GRID = np.arange(20 ** 3, dtype=np.int16).reshape((20, 20, 20)) % 97
+
+
+def _gz_volume(tmp_path):
+    """A written .nii.gz of GZ_GRID and its compressed bytes."""
+    path = tmp_path / "v.nii.gz"
+    nm.write_volume(make_volume(GZ_GRID, kind="scalar"), path)
+    return path, path.read_bytes()
+
+
+def _flip(blob, index):
+    return blob[:index] + bytes([blob[index] ^ 0xFF]) + blob[index + 1:]
+
+
+BROKEN_GZ = {
+    "flipped_body_byte": (lambda b: _flip(b, len(b) // 2), nm.NiftiFormatError),
+    "bad_crc": (lambda b: _flip(b, len(b) - 8), nm.NiftiFormatError),
+    "bad_isize": (lambda b: _flip(b, len(b) - 1), nm.NiftiFormatError),
+    "missing_trailer": (lambda b: b[:-8], nm.TruncatedFileError),
+    "truncated_midway": (lambda b: b[:len(b) // 2], nm.TruncatedFileError),
+    "data_past_payload": (lambda b: b + gzip.compress(b"\x01"), nm.NiftiFormatError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_GZ))
+def test_broken_gzip_rejected(tmp_path, case):
+    # the whole stream is inflated, so its CRC32 and length trailer are checked
+    path, blob = _gz_volume(tmp_path)
+    breaker, error = BROKEN_GZ[case]
+    path.write_bytes(breaker(blob))
+    with pytest.raises(error):
+        nm.read_volume(path)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_GZ))
+def test_cli_broken_gzip_exits_2(tmp_path, case):
+    path, blob = _gz_volume(tmp_path)
+    path.write_bytes(BROKEN_GZ[case][0](blob))
+    assert main(["cc", "--mask", str(path), "--out-labels", str(tmp_path / "cc.nii")]) == 2
+
+
+def test_gzip_members_concatenated(tmp_path):
+    # a payload split over gzip members (with zero padding, as gzip allows)
+    path, blob = _gz_volume(tmp_path)
+    raw = gzip.decompress(blob)
+    cuts = [0, 100, 352, 5000, len(raw)]
+    path.write_bytes(b"".join(gzip.compress(raw[a:b]) for a, b in zip(cuts, cuts[1:]))
+                     + bytes(16))
+    assert np.array_equal(nm.read_volume(path).data, GZ_GRID)
+    assert nm.read_header(path).dims == GZ_GRID.shape
