@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -84,7 +82,7 @@ def test_matches_flood_fill_oracle(connectivity, seed):
 @pytest.mark.parametrize("connectivity", [6, 18, 26])
 @pytest.mark.parametrize("density", [0.005, 0.02, 0.04])
 def test_sparse_route_matches_flood_fill(connectivity, density):
-    # below 5% foreground the graph path runs; oracle-check it directly
+    # the foreground densities of node annotations
     for seed in range(5):
         mask = np.random.default_rng(seed).random((32, 32, 32)) < density
         if not mask.any():
@@ -94,23 +92,86 @@ def test_sparse_route_matches_flood_fill(connectivity, density):
 
 
 @pytest.mark.parametrize("connectivity", [6, 18, 26])
-def test_sparse_and_dense_routes_agree(connectivity):
-    from nodemetry.components import _graph_ids, _ndimage_ids, _scan_order
+def test_random_density_matches_flood_fill(connectivity):
     for seed in range(8):
         rng = np.random.default_rng(seed)
         mask = rng.random((24, 24, 24)) < rng.uniform(0.01, 0.4)
         if not mask.any():
             continue
-        keys, coords = np.flatnonzero(mask), np.argwhere(mask)
-        labels, count = _scan_order(_graph_ids(keys, coords, mask.shape, connectivity))
-        dense_labels, dense_count = _scan_order(_ndimage_ids(mask, coords, connectivity))
-        assert count == dense_count
-        assert np.array_equal(labels, dense_labels)
+        cset = nm.label_components(mask, connectivity)
+        expected = flood_fill_components(mask, connectivity)
+        assert cset.count == expected.max()
+        assert np.array_equal(cset.component_of, expected)
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize("end", [(1, 2, 4), (1, 3, 4)])
+def test_consecutive_keys_across_a_row_end_stay_apart(connectivity, end):
+    # the next C-order key after (i, j, nz-1) is (i, j+1, 0) or (i+1, 0, 0)
+    mask = np.zeros((3, 4, 5), dtype=bool)
+    mask[end] = True
+    mask.flat[np.ravel_multi_index(end, mask.shape) + 1] = True
+    assert nm.label_components(mask, connectivity).count == 2
+    assert flood_fill_components(mask, connectivity).max() == 2
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize("row", [(0, 1), (1, 0), (1, -1), (1, 1)])
+@pytest.mark.parametrize("gap", [-1, 0, 1])
+@pytest.mark.parametrize("flip", [False, True])
+def test_runs_of_neighbour_rows_join_by_connectivity(connectivity, row, gap, flip):
+    # a run over k 0..2 and one over k 3+gap..5+gap in a neighbour row: they
+    # share a k at gap -1, touch only diagonally along k at 0, and never at 1
+    di, dj = row
+    mask = np.zeros((2, 3, 9), dtype=bool)
+    mask[0, 1, 0:3] = True
+    mask[di, 1 + dj, 3 + gap:6 + gap] = True
+    if flip:
+        mask = mask[:, :, ::-1]
+    reach = {6: 1, 18: 2, 26: 3}[connectivity]  # largest |di| + |dj| + |dk|
+    joined = gap < 1 and di + abs(dj) + gap + 1 <= reach
+    cset = nm.label_components(mask, connectivity)
+    assert cset.count == flood_fill_components(mask, connectivity).max() == 2 - joined
+
+
+def _hilbert_path(order: int) -> np.ndarray:
+    """One-voxel-wide Hilbert curve of 4**order corners, two voxels apart, on
+    a (2 * 2**order - 1)-square grid."""
+    n = 2 ** order
+    corners = []
+    for d in range(n * n):
+        x = y = 0
+        s, t = 1, d
+        while s < n:
+            rx = 1 & (t // 2)
+            ry = 1 & (t ^ rx)
+            if ry == 0:
+                if rx:
+                    x, y = s - 1 - x, s - 1 - y
+                x, y = y, x
+            x, y, t, s = x + s * rx, y + s * ry, t // 4, 2 * s
+        corners.append((2 * x, 2 * y))
+    grid = np.zeros((2 * n - 1, 2 * n - 1), dtype=bool)
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
+        grid[min(x0, x1):max(x0, x1) + 1, min(y0, y1):max(y0, y1) + 1] = True
+    return grid
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize("plane", ["ik", "ij"])
+def test_hilbert_path_is_one_component(connectivity, plane):
+    # scan order visits the curve out of path order, so the union-find needs
+    # one hook round per curve order (4 here) before the path is one root
+    grid = _hilbert_path(4)
+    mask = grid[:, None, :] if plane == "ik" else grid[:, :, None]
+    cset = nm.label_components(mask, connectivity)
+    assert cset.count == flood_fill_components(mask, connectivity).max() == 1
+    assert cset.sizes.tolist() == [int(grid.sum())]
 
 
 def test_scan_order_ranks_raw_ids_by_first_appearance():
-    # both labeling routes happen to emit scan-ordered ids; the ranking must
-    # not depend on that
+    # run labeling happens to emit scan-ordered ids; the ranking must not
+    # depend on that
     from nodemetry.components import _scan_order
     labels, count = _scan_order(np.array([7, 7, 2, 9, 2, 0, 7]))
     assert count == 4
@@ -182,7 +243,7 @@ def test_accepts_volume_and_array(rng):
     assert np.array_equal(from_vol.component_of, from_arr.component_of)
 
 
-@pytest.mark.parametrize("route", ["sparse", "dense"])
+@pytest.mark.parametrize("foreground", ["sparse", "dense"])
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @settings(max_examples=40, deadline=None)
 @given(mask=masks(), connectivity=st.sampled_from(components.CONNECTIVITIES))
@@ -190,11 +251,11 @@ def test_accepts_volume_and_array(rng):
 @example(mask=SINGLE, connectivity=6)
 @example(mask=CORNERS, connectivity=26)
 @example(mask=RUNS, connectivity=18)
-def test_occupancy_scan_matches_flood_fill(route, layout, mask, connectivity):
+def test_occupancy_scan_matches_flood_fill(foreground, layout, mask, connectivity):
+    if foreground == "dense":
+        mask = ~mask  # mostly foreground: long runs, few gaps
     data = LAYOUTS[layout](mask.astype(np.uint8))
-    threshold = 1.0 if route == "sparse" else 0.0  # force the route under test
-    with mock.patch.object(components, "_SPARSE_DENSITY", threshold):
-        cset = nm.label_components(data, connectivity)
+    cset = nm.label_components(data, connectivity)
     expected = flood_fill_components(mask, connectivity)
     assert cset.count == expected.max()
     assert np.array_equal(cset.component_of, expected)

@@ -1,7 +1,7 @@
-"""scipy is loaded only where a mask is labeled.
+"""No command loads scipy: the package and its CLI need numpy only.
 
-Each check runs in a fresh interpreter, since the test process itself has
-scipy loaded already.
+Each check runs in a fresh interpreter, since the test process itself may
+have scipy loaded already.
 """
 
 import json
@@ -61,6 +61,11 @@ def tiny_inputs(tmp_path):
     for fold in range(3):
         _write(tmp_path / f"labels{fold}.nii.gz",
                rng.integers(0, 2, shape).astype(np.uint8), "label")
+    for side in ("gt", "pred"):
+        (tmp_path / side).mkdir()
+        for patient in ("p0", "p1"):
+            _write(tmp_path / side / f"{patient}.nii.gz",
+                   rng.integers(0, 2, shape).astype(np.uint8), "label")
     (tmp_path / "spec.txt").write_text("dims = 16 16 10\nspacing = 1 1 1\n"
                                        "node = 8 8 5  3 2 2  0\n")
     return tmp_path
@@ -75,26 +80,19 @@ def _argv(cmd, d):
                             "--out", f"{d}/v.nii.gz"],
         "loss": ["loss", "--prob-dir", f"{d}/probs", "--gt", f"{d}/labels0.nii.gz"],
         "phantom": ["phantom", "--spec", f"{d}/spec.txt", "--out", f"{d}/ph.nii.gz"],
+        "cc": ["cc", "--mask", f"{d}/labels0.nii.gz", "--out-labels", f"{d}/cc.nii.gz",
+               "--out-summary", f"{d}/cc.json"],
+        "measure": ["measure", "--mask", f"{d}/labels1.nii.gz", "--out", f"{d}/nodes.csv"],
+        "eval": ["eval", "--gt", f"{d}/labels0.nii.gz", "--pred", f"{d}/labels1.nii.gz"],
+        "eval_jobs": ["eval", "--gt-dir", f"{d}/gt", "--pred-dir", f"{d}/pred", "--jobs", "2"],
     }[cmd]
 
 
-@pytest.mark.parametrize("cmd", ["fuse", "ensemble_probs", "ensemble_labels", "loss", "phantom"])
-def test_commands_without_labeling_load_no_scipy(tiny_inputs, cmd):
+@pytest.mark.parametrize("cmd", ["fuse", "ensemble_probs", "ensemble_labels", "loss", "phantom",
+                                 "cc", "measure", "eval", "eval_jobs"])
+def test_commands_load_no_scipy(tiny_inputs, cmd):
     argv = _argv(cmd, tiny_inputs)
     snippet = ("from nodemetry.cli import main\n"
                f"assert main({argv!r}) == 0\n")
     assert scipy_modules(snippet) == set()
 
-
-@pytest.mark.parametrize("dense", [False, True])
-def test_labeling_loads_only_its_route(dense):
-    # one voxel of 1000 is under _SPARSE_DENSITY; half the grid is over it
-    snippet = ("import numpy as np\nfrom nodemetry.components import _SPARSE_DENSITY, "
-               "label_components\n"
-               "mask = np.zeros((10, 10, 10), np.uint8)\n"
-               f"mask[{':5' if dense else '3, 3, 3'}] = 1\n"
-               f"assert bool(np.count_nonzero(mask) > _SPARSE_DENSITY * mask.size) is {dense}\n"
-               "assert label_components(mask).count == 1\n")
-    loaded = scipy_modules(snippet)
-    assert ("scipy.ndimage" in loaded) is dense
-    assert ("scipy.sparse.csgraph" in loaded) is not dense
