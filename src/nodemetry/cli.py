@@ -26,13 +26,12 @@ from . import fusion, metrics, morphometry, phantom
 from .components import filter_components, label_components
 from .errors import NiftiFormatError, NodemetryError, ValidationError
 from .nifti_io import read_volume, write_volume
-from .volume import Volume, canonicalize
+from .volume import Volume, assert_same_grid, canonicalize
 
 DEFAULT_LN_CLASS = 2
 SCHEMA_VERSION = 1
 
-PROB_FILE_RE = re.compile(r"^fold(\d+)_class(\d+)\.nii(\.gz)?$")
-CLASS_FILE_RE = re.compile(r"^class(\d+)\.nii(\.gz)?$")
+PROB_STEM_RE = re.compile(r"(?:fold(\d+)_)?class(\d+)")
 
 
 def _q4(value):
@@ -51,8 +50,18 @@ def _write_json(payload: dict, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _echo_config(config: dict) -> None:
+def _config(args, hide=(), **resolved) -> dict:
+    """The run's config: its flags in parser order (unset ones as ""), each
+    resolved value in place of its flag's or after the flags; echoed."""
+    config = {k: "" if v is None else v for k, v in vars(args).items()
+              if k != "func" and k not in hide}
+    config.update(resolved)
     print("config: " + json.dumps(_q4(config), sort_keys=True))
+    return config
+
+
+def _report(config: dict, **body) -> dict:
+    return {"schema": SCHEMA_VERSION, "config": config, **body}
 
 
 def _volume_stem(path: Path) -> str:
@@ -63,8 +72,44 @@ def _volume_stem(path: Path) -> str:
     return path.stem
 
 
+def _nifti_files(directory) -> dict[str, Path]:
+    """{stem: path} of the NIfTI files in a directory, in name order."""
+    files: dict[str, Path] = {}
+    for path in sorted(Path(directory).iterdir()):
+        if path.name.endswith((".nii", ".nii.gz")):
+            stem = _volume_stem(path)
+            if stem in files:
+                raise ValidationError(f"{files[stem]} and {path} share the stem {stem!r}")
+            files[stem] = path
+    return files
+
+
+def _prob_files(directory, folds: bool) -> list[list[Path]]:
+    """The class files of each fold, in fold order, from fold{K}_class{C}
+    stems (folds) or class{C} stems (one fold). Every fold holds classes
+    0..C-1 with the same C, so a class id is its position."""
+    found: dict[int, dict[int, Path]] = {}
+    for stem, path in _nifti_files(directory).items():
+        m = PROB_STEM_RE.fullmatch(stem)
+        if m and (m.group(1) is not None) == folds:
+            fold, cls = int(m.group(1) or 0), int(m.group(2))
+            classes = found.setdefault(fold, {})
+            if cls in classes:
+                raise ValidationError(f"{classes[cls]} and {path} are both class {cls}")
+            classes[cls] = path
+    pattern = "fold{K}_class{C}" if folds else "class{C}"
+    if not found:
+        raise ValidationError(f"no {pattern}.nii[.gz] files in {directory}")
+    count = len(next(iter(found.values())))
+    for fold, classes in found.items():
+        if sorted(classes) != list(range(count)):
+            raise ValidationError(f"{pattern} files must cover 0..C-1 with one C in every "
+                                  f"fold, got fold {fold} classes {sorted(classes)}")
+    return [[classes[c] for c in range(count)] for _, classes in sorted(found.items())]
+
+
 def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
+    if args.jobs:
         return max(1, args.jobs)
     env = os.environ.get("NODEMETRY_THREADS")
     if env:
@@ -86,15 +131,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_fuse(args) -> int:
     spec = fusion.load_fusion_spec(args.spec) if args.spec else fusion.default_fusion_spec()
-    config = {"command": "fuse", "anatomy_dir": str(args.anatomy_dir),
-              "ln": str(args.ln), "spec": str(args.spec) if args.spec else "builtin",
-              "out": str(args.out)}
-    _echo_config(config)
+    _config(args, spec=args.spec or "builtin")
 
-    anatomy = []
-    for path in sorted(Path(args.anatomy_dir).iterdir()):
-        if path.name.endswith((".nii", ".nii.gz")):
-            anatomy.append((_volume_stem(path), read_volume(path, kind="label")))
+    anatomy = [(stem, read_volume(path, kind="label"))
+               for stem, path in _nifti_files(args.anatomy_dir).items()]
     ln_mask = read_volume(args.ln, kind="label")
     fused = fusion.fuse(anatomy, ln_mask, spec)
     write_volume(fused, args.out)
@@ -104,10 +144,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_cc(args) -> int:
-    config = {"command": "cc", "mask": str(args.mask), "connectivity": args.connectivity,
-              "min_voxels": args.min_voxels, "out_labels": str(args.out_labels or ""),
-              "out_summary": str(args.out_summary or "")}
-    _echo_config(config)
+    config = _config(args)
 
     vol = read_volume(args.mask)
     cset = label_components(vol, args.connectivity)
@@ -115,18 +152,15 @@ def _cmd_cc(args) -> int:
     if args.out_labels:
         write_volume(vol.with_data(cset.component_of, kind="label",
                                    class_count=cset.count + 1), args.out_labels)
-    summary = {"schema": SCHEMA_VERSION, "config": config, "count": cset.count,
-               "sizes": [int(s) for s in cset.sizes]}
     if args.out_summary:
-        _write_json(summary, args.out_summary)
+        _write_json(_report(config, count=cset.count, sizes=[int(s) for s in cset.sizes]),
+                    args.out_summary)
     print(f"{cset.count} components (connectivity {args.connectivity})")
     return 0
 
 
 def _cmd_measure(args) -> int:
-    config = {"command": "measure", "mask": str(args.mask),
-              "connectivity": args.connectivity, "out": str(args.out)}
-    _echo_config(config)
+    _config(args)
 
     vol = canonicalize(read_volume(args.mask))
     cset = label_components(vol, args.connectivity)
@@ -138,15 +172,18 @@ def _cmd_measure(args) -> int:
 
 
 def _read_prob_stack(paths: list[Path]) -> Volume:
-    """Stack per-class scalar volumes into one probability volume."""
+    """Stack per-class scalar volumes on one grid into one probability volume."""
     grids = []
     first = None
     for path in paths:
         vol = read_volume(path, kind="scalar")
         if first is None:
             first = vol
-        data = np.asarray(vol.data, dtype=np.float32)
-        grids.append(data)
+        try:
+            assert_same_grid(first, vol)
+        except NodemetryError as exc:
+            raise type(exc)(f"{paths[0]} vs {path}: {exc}") from exc
+        grids.append(np.asarray(vol.data, dtype=np.float32))
     stacked = np.stack(grids, axis=3)
     return Volume(stacked, first.spacing, first.affine, kind="probability")
 
@@ -154,10 +191,7 @@ def _read_prob_stack(paths: list[Path]) -> Volume:
 def _cmd_ensemble(args) -> int:
     if bool(args.labels) == bool(args.prob_dir):
         raise ValidationError("ensemble needs either --labels files or --prob-dir")
-    config = {"command": "ensemble", "labels": [str(p) for p in (args.labels or [])],
-              "prob_dir": str(args.prob_dir or ""), "out": str(args.out),
-              "out_probs": str(args.out_probs or "")}
-    _echo_config(config)
+    _config(args)
 
     if args.labels:
         folds = ens.FoldSet(tuple(read_volume(p, kind="label") for p in args.labels),
@@ -167,39 +201,21 @@ def _cmd_ensemble(args) -> int:
         print(f"majority vote over {len(folds)} label folds -> {args.out}")
         return 0
 
-    prob_dir = Path(args.prob_dir)
-    found: dict[int, dict[int, Path]] = {}
-    for path in sorted(prob_dir.iterdir()):
-        m = PROB_FILE_RE.match(path.name)
-        if m:
-            found.setdefault(int(m.group(1)), {})[int(m.group(2))] = path
-    if not found:
-        raise ValidationError(
-            f"no fold{{K}}_class{{C}}.nii[.gz] files in {prob_dir}"
-        )
-    class_ids = sorted(next(iter(found.values())))
-    for fold, classes in sorted(found.items()):
-        if sorted(classes) != class_ids:
-            raise ValidationError(
-                f"fold {fold} classes {sorted(classes)} != {class_ids}"
-            )
-    members = tuple(
-        _read_prob_stack([found[fold][c] for c in class_ids])
-        for fold in sorted(found)
-    )
+    members = tuple(_read_prob_stack(paths) for paths in _prob_files(args.prob_dir, folds=True))
     mean = ens.average_probabilities(ens.FoldSet(members, kind="probability"))
     merged = ens.argmax_labels(mean)
+    class_count = mean.data.shape[3]
     write_volume(merged, args.out)
     if args.out_probs:
         out_dir = Path(args.out_probs)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for pos, c in enumerate(class_ids):
+        for c in range(class_count):
             write_volume(
-                Volume(np.ascontiguousarray(mean.data[..., pos]), mean.spacing,
+                Volume(np.ascontiguousarray(mean.data[..., c]), mean.spacing,
                        mean.affine, kind="scalar"),
                 out_dir / f"mean_class{c}.nii.gz",
             )
-    print(f"averaged {len(members)} folds x {len(class_ids)} classes -> {args.out}")
+    print(f"averaged {len(members)} folds x {class_count} classes -> {args.out}")
     return 0
 
 
@@ -222,10 +238,8 @@ def _pair_volumes(args) -> list[tuple[str, Path, Path]]:
             raise ValidationError(f"{args.manifest}: no pairs listed")
         return pairs
     if args.gt_dir and args.pred_dir:
-        gt_files = {_volume_stem(p): p for p in Path(args.gt_dir).iterdir()
-                    if p.name.endswith((".nii", ".nii.gz"))}
-        pred_files = {_volume_stem(p): p for p in Path(args.pred_dir).iterdir()
-                      if p.name.endswith((".nii", ".nii.gz"))}
+        gt_files = _nifti_files(args.gt_dir)
+        pred_files = _nifti_files(args.pred_dir)
         if not gt_files:
             raise ValidationError(f"no NIfTI files in {args.gt_dir}")
         missing = sorted(set(gt_files) - set(pred_files))
@@ -244,18 +258,8 @@ def _patient_payload(report: metrics.PatientReport) -> dict:
         "gt_node_count": report.gt_node_count,
         "detected_count": report.detected_count,
         "unmatched_pred_count": report.unmatched_pred_count,
-        "nodes": [
-            {
-                "component_index": m.component_index,
-                "voxel_count": m.voxel_count,
-                "volume_mm3": m.volume_mm3,
-                "sad_mm": m.sad_mm,
-                "sad_slice_index": m.sad_slice_index,
-                "long_axis_mm": m.long_axis_mm,
-                "dice": d,
-            }
-            for m, d in report.per_node
-        ],
+        "nodes": [{**{c: getattr(m, c) for c in morphometry.MEASUREMENT_COLUMNS}, "dice": d}
+                  for m, d in report.per_node],
     }
 
 
@@ -292,14 +296,12 @@ def _ln_mask(vol: Volume, ln_class: int) -> Volume:
 
 
 def _cmd_eval(args) -> int:
-    metrics.check_eval_options(args.threshold, args.min_overlap)
+    metrics.check_eval_options(args.threshold_mm, args.match_min_overlap)
     pairs = _pair_volumes(args)
-    config = {"command": "eval", "threshold_mm": args.threshold,
-              "connectivity": args.connectivity, "match_min_overlap": args.min_overlap,
-              "ln_class": args.ln_class, "jobs": _jobs(args),
-              "pairs": [[pid, str(g), str(p)] for pid, g, p in pairs],
-              "out_json": str(args.out_json or ""), "out_csv": str(args.out_csv or "")}
-    _echo_config(config)
+    jobs = _jobs(args)
+    # the input flags are echoed as the pairs they resolve to
+    config = _config(args, hide=("gt", "pred", "gt_dir", "pred_dir", "manifest"), jobs=jobs,
+                     pairs=[[pid, str(g), str(p)] for pid, g, p in pairs])
 
     def one(pair):
         pid, gt_path, pred_path = pair
@@ -307,13 +309,12 @@ def _cmd_eval(args) -> int:
         pred = _ln_mask(read_volume(pred_path), args.ln_class)
         try:
             return metrics.evaluate_patient(
-                gt, pred, threshold_mm=args.threshold,
+                gt, pred, threshold_mm=args.threshold_mm,
                 connectivity=args.connectivity,
-                match_min_overlap=args.min_overlap, patient_id=pid)
+                match_min_overlap=args.match_min_overlap, patient_id=pid)
         except NodemetryError as exc:
             raise type(exc)(f"{gt_path} vs {pred_path}: {exc}") from exc
 
-    jobs = _jobs(args)
     if jobs > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(one, pairs))
@@ -322,32 +323,29 @@ def _cmd_eval(args) -> int:
     reports.sort(key=lambda r: r.patient_id)
 
     cohort = metrics.aggregate(reports)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "config": {k: v for k, v in config.items() if k != "pairs"},
-        "cohort": {
+    payload = _report(
+        {k: v for k, v in config.items() if k != "pairs"},
+        cohort={
             "n_patients": cohort.n_patients,
             **{
                 s: {"mean": st.mean, "std": st.std, "n": st.n}
                 for s, st in cohort.strata.items()
             },
         },
-        "patients": [_patient_payload(r) for r in reports],
-    }
+        patients=[_patient_payload(r) for r in reports],
+    )
     if args.out_json:
         _write_json(payload, args.out_json)
     if args.out_csv:
         lines = ["patient_id,stratum,dice"]
         lines += [f"{pid},{stratum},{value:.4f}" for pid, stratum, value in cohort.rows]
         Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _print_cohort_summary(cohort, args.threshold)
+    _print_cohort_summary(cohort, args.threshold_mm)
     return 0
 
 
 def _cmd_phantom(args) -> int:
-    config = {"command": "phantom", "spec": str(args.spec), "out": str(args.out),
-              "out_expected": str(args.out_expected or "")}
-    _echo_config(config)
+    _config(args)
 
     spec = phantom.load_phantom_spec(args.spec)
     volume, expected = phantom.generate(spec)
@@ -360,29 +358,15 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    config = {"command": "loss", "prob_dir": str(args.prob_dir), "gt": str(args.gt),
-              "out_json": str(args.out_json or "")}
-    _echo_config(config)
+    config = _config(args)
 
-    prob_dir = Path(args.prob_dir)
-    classes: dict[int, Path] = {}
-    for path in sorted(prob_dir.iterdir()):
-        m = CLASS_FILE_RE.match(path.name)
-        if m:
-            classes[int(m.group(1))] = path
-    if not classes:
-        raise ValidationError(f"no class{{C}}.nii[.gz] files in {prob_dir}")
-    class_ids = sorted(classes)
-    if class_ids != list(range(len(class_ids))):
-        raise ValidationError(f"class files must cover 0..C-1, got {class_ids}")
-
-    probs = _read_prob_stack([classes[c] for c in class_ids])
+    [paths] = _prob_files(args.prob_dir, folds=False)
+    probs = _read_prob_stack(paths)
     gt = read_volume(args.gt, kind="label")
-    gt = gt.with_data(gt.data, class_count=len(class_ids))
+    gt = gt.with_data(gt.data, class_count=len(paths))
     value = metrics.composite_loss(probs, gt)
     if args.out_json:
-        _write_json({"schema": SCHEMA_VERSION, "config": config, "loss": value},
-                    args.out_json)
+        _write_json(_report(config, loss=value), args.out_json)
     print(f"loss: {value:.6f}")
     return 0
 
@@ -416,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("ensemble", help="merge per-fold predictions")
-    p.add_argument("--labels", nargs="+", default=None, help="per-fold label volumes (majority vote)")
+    p.add_argument("--labels", nargs="+", default=[], help="per-fold label volumes (majority vote)")
     p.add_argument("--prob-dir", default=None,
                    help="directory of fold{K}_class{C}.nii[.gz] probability volumes")
     p.add_argument("--out", required=True, help="merged label volume")
@@ -430,9 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-dir", default=None)
     p.add_argument("--manifest", default=None, help="CSV of patient_id,gt_path,pred_path")
     p.add_argument("--threshold", type=float, default=metrics.DEFAULT_SAD_THRESHOLD_MM,
+                   dest="threshold_mm", metavar="THRESHOLD",
                    help="SAD stratification threshold in mm (default 8.0)")
     p.add_argument("--connectivity", type=int, default=26, choices=(6, 18, 26))
     p.add_argument("--min-overlap", type=float, default=0.0,
+                   dest="match_min_overlap", metavar="MIN_OVERLAP",
                    help="fraction of a predicted component that must overlap a GT node to match")
     p.add_argument("--ln-class", type=int, default=DEFAULT_LN_CLASS,
                    help="class id extracted from multi-class volumes (default 2)")
@@ -462,9 +448,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NiftiFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -155,16 +155,20 @@ def _run_keys(f: np.ndarray, transposed: bool,
     return np.sort((i * ny + j) * nz + k)
 
 
-def _run_ids(keys: np.ndarray, shape, connectivity: int) -> np.ndarray:
-    """Raw component id per foreground voxel, from run-based labeling (He,
-    Chao & Suzuki, IEEE TIP 2008) over ascending C-order keys.
+def _run_ids(keys: np.ndarray, shape, connectivity: int) -> tuple[np.ndarray, int]:
+    """Component index per foreground voxel, numbered 1..count in scan order,
+    and the count, from run-based labeling (He, Chao & Suzuki, IEEE TIP 2008)
+    over ascending C-order keys.
 
     A run is a maximal block of consecutive keys in one (i, j) row. Runs of
     forward neighbour rows are joined where their k-intervals overlap, the
     interval widened by one where the connectivity reaches diagonally along k.
     The run graph is solved by a union-find: each round hooks the larger root
     of every edge onto the smaller, then jumps pointers until every run
-    points at its root. Cost scales with the foreground, not the grid.
+    points at its root. Hooks only lower a pointer, so each root is its
+    component's first run in scan order, and numbering the roots in run order
+    numbers the components in scan order. Cost scales with the foreground,
+    not the grid.
     """
     nx, ny, nz = shape
     # a run starts where its key does not follow the previous one, or at k = 0
@@ -199,16 +203,9 @@ def _run_ids(keys: np.ndarray, shape, connectivity: int) -> np.ndarray:
         a, b = parent[a], parent[b]
         apart = a != b
         a, b = a[apart], b[apart]
-    return np.repeat(parent, lengths)
-
-
-def _scan_order(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    """Component indices 1..count numbered by first appearance in scan order,
-    from raw ids in any numbering, and the count."""
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(1, len(first) + 1)
-    return rank[inverse], len(first)
+    roots = parent == np.arange(len(parent))
+    index = np.cumsum(roots)
+    return np.repeat(index[parent], lengths), int(np.count_nonzero(roots))
 
 
 def label_components(mask, connectivity: int = 26) -> ComponentSet:
@@ -224,7 +221,7 @@ def label_components(mask, connectivity: int = 26) -> ComponentSet:
     data = _as_mask(mask)
     f, transposed = _slab_view(data)
     keys = _run_keys(f, transposed, _occupied_runs(f))
-    labels, count = _scan_order(_run_ids(keys, data.shape, connectivity))
+    labels, count = _run_ids(keys, data.shape, connectivity)
     return _component_set(data.shape, keys, labels, count, connectivity)
 
 

@@ -364,3 +364,78 @@ def test_console_script_entrypoint(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Dice (All LN): 100.0" in proc.stdout
+
+
+def write_probs(prob_dir, names, shape=(5, 5, 3), spacing=(1.0, 1.0, 1.0)):
+    prob_dir.mkdir(exist_ok=True)
+    for name in names:
+        vol = make_volume(np.full(shape, 0.5, np.float32), spacing, kind="scalar")
+        nm.write_volume(vol, prob_dir / name)
+
+
+def test_ensemble_class_files_cover_0_to_c_minus_1(tmp_path, capsys):
+    # class ids are positions: files class1/class2 would write labels 0/1
+    write_probs(tmp_path / "probs", [f"fold{k}_class{c}.nii.gz" for k in (0, 1) for c in (1, 2)])
+    out = tmp_path / "merged.nii.gz"
+    rc = main(["ensemble", "--prob-dir", str(tmp_path / "probs"), "--out", str(out),
+               "--out-probs", str(tmp_path / "avg")])
+    assert rc == 1
+    assert "0..C-1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ensemble", "loss"])
+@pytest.mark.parametrize("grid", [{"shape": (5, 5, 4)}, {"spacing": (1.0, 1.0, 2.0)}],
+                         ids=["dims", "spacing"])
+def test_class_files_share_one_grid(tmp_path, capsys, command, grid):
+    prefix = "fold0_" if command == "ensemble" else ""
+    write_probs(tmp_path / "probs", [f"{prefix}class0.nii.gz"])
+    write_probs(tmp_path / "probs", [f"{prefix}class1.nii.gz"], **grid)
+    write_mask(tmp_path / "gt.nii.gz", np.zeros((5, 5, 3), np.uint8))
+    out = tmp_path / "out.nii.gz"
+    argv = {"ensemble": ["ensemble", "--prob-dir", str(tmp_path / "probs"), "--out", str(out)],
+            "loss": ["loss", "--prob-dir", str(tmp_path / "probs"),
+                     "--gt", str(tmp_path / "gt.nii.gz")]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{prefix}class0.nii.gz vs " in err and f"{prefix}class1.nii.gz" in err
+    assert not out.exists()
+
+
+def test_duplicate_stem_in_anatomy_dir(tmp_path, capsys):
+    # fuse would OR both masks into one structure
+    anatomy = tmp_path / "anatomy"; anatomy.mkdir()
+    spleen = np.zeros((6, 6, 4), np.uint8); spleen[1:3, 1:3, 1:3] = 1
+    write_mask(anatomy / "spleen.nii", spleen)
+    write_mask(anatomy / "spleen.nii.gz", spleen[::-1])
+    write_mask(tmp_path / "ln.nii.gz", np.zeros((6, 6, 4), np.uint8))
+    rc = main(["fuse", "--anatomy-dir", str(anatomy), "--ln", str(tmp_path / "ln.nii.gz"),
+               "--out", str(tmp_path / "fused.nii.gz")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "spleen.nii " in err and "spleen.nii.gz" in err
+
+
+def test_duplicate_stem_in_eval_dir(tmp_path, capsys):
+    # eval would score whichever file the directory listed last
+    gt_dir = tmp_path / "gt"; gt_dir.mkdir()
+    pred_dir = tmp_path / "pred"; pred_dir.mkdir()
+    arr = two_node_arr()
+    write_mask(gt_dir / "p1.nii", arr)
+    write_mask(gt_dir / "p1.nii.gz", np.zeros_like(arr))
+    write_mask(pred_dir / "p1.nii.gz", arr)
+    rc = main(["eval", "--gt-dir", str(gt_dir), "--pred-dir", str(pred_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "p1.nii " in err and "p1.nii.gz" in err
+
+
+@pytest.mark.parametrize("extra", ["fold0_class01.nii.gz", "fold0_class1.nii"],
+                         ids=["same-class", "same-stem"])
+def test_duplicate_class_file_in_prob_dir(tmp_path, capsys, extra):
+    write_probs(tmp_path / "probs", ["fold0_class0.nii.gz", "fold0_class1.nii.gz", extra])
+    rc = main(["ensemble", "--prob-dir", str(tmp_path / "probs"),
+               "--out", str(tmp_path / "merged.nii.gz")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "fold0_class1.nii.gz" in err and extra in err

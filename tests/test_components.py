@@ -169,13 +169,22 @@ def test_hilbert_path_is_one_component(connectivity, plane):
     assert cset.sizes.tolist() == [int(grid.sum())]
 
 
-def test_scan_order_ranks_raw_ids_by_first_appearance():
-    # run labeling happens to emit scan-ordered ids; the ranking must not
-    # depend on that
-    from nodemetry.components import _scan_order
-    labels, count = _scan_order(np.array([7, 7, 2, 9, 2, 0, 7]))
-    assert count == 4
-    assert labels.tolist() == [1, 1, 2, 3, 2, 4, 1]
+def test_run_ids_number_components_by_first_run(rng):
+    # two arms that meet on a later row form one component, numbered by its
+    # first run; the lone run between them in scan order comes second
+    from nodemetry.components import _run_ids
+    mask = np.zeros((3, 1, 5), bool)
+    mask[:2, 0, [0, 2]] = True
+    mask[0, 0, 4] = True
+    mask[2, 0, :3] = True
+    labels, count = _run_ids(np.flatnonzero(mask), mask.shape, 6)
+    assert count == 2
+    assert labels.tolist() == [1, 1, 2, 1, 1, 1, 1, 1]
+    for density in (0.1, 0.3):
+        mask = rng.random((12, 12, 12)) < density
+        labels, count = _run_ids(np.flatnonzero(mask), mask.shape, 6)
+        _, first = np.unique(labels, return_index=True)
+        assert labels[np.sort(first)].tolist() == list(range(1, count + 1))
 
 
 def test_scan_order_and_determinism(rng):
