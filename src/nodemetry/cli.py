@@ -109,15 +109,41 @@ def _prob_files(directory, folds: bool) -> list[list[Path]]:
 
 
 def _jobs(args) -> int:
-    if args.jobs:
-        return max(1, args.jobs)
-    env = os.environ.get("NODEMETRY_THREADS")
-    if env:
+    """eval's patient threads: --jobs, else NODEMETRY_THREADS, else 1; below 1 is an error."""
+    if args.jobs is not None:
+        jobs, source = args.jobs, "--jobs"
+    else:
+        env = os.environ.get("NODEMETRY_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            jobs, source = int(env), "NODEMETRY_THREADS"
         except ValueError:
             raise ValidationError(f"NODEMETRY_THREADS={env!r} is not an integer") from None
-    return 1
+    if jobs < 1:
+        raise ValidationError(f"{source} must be at least 1, got {jobs}")
+    return jobs
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_files(fn, items):
+    """fn(item) for each of a command's files, on one thread per usable CPU
+    (zlib releases the GIL while it inflates and deflates), yielded in item
+    order. The first error in item order is raised, and the calls not yet
+    started are cancelled."""
+    items = list(items)
+    with ThreadPoolExecutor(max_workers=max(1, min(len(items), _usable_cpus()))) as pool:
+        yield from pool.map(fn, items)
+
+
+def _read_files(paths, kind: str):
+    """The volumes at paths, read on the file threads, yielded in path order."""
+    return _map_files(lambda path: read_volume(path, kind=kind), paths)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,8 +159,8 @@ def _cmd_fuse(args) -> int:
     spec = fusion.load_fusion_spec(args.spec) if args.spec else fusion.default_fusion_spec()
     _config(args, spec=args.spec or "builtin")
 
-    anatomy = [(stem, read_volume(path, kind="label"))
-               for stem, path in _nifti_files(args.anatomy_dir).items()]
+    files = _nifti_files(args.anatomy_dir)
+    anatomy = list(zip(files, _read_files(files.values(), kind="label")))
     ln_mask = read_volume(args.ln, kind="label")
     fused = fusion.fuse(anatomy, ln_mask, spec)
     write_volume(fused, args.out)
@@ -172,20 +198,19 @@ def _cmd_measure(args) -> int:
 
 
 def _read_prob_stack(paths: list[Path]) -> Volume:
-    """Stack per-class scalar volumes on one grid into one probability volume."""
-    grids = []
-    first = None
-    for path in paths:
-        vol = read_volume(path, kind="scalar")
-        if first is None:
+    """Per-class scalar volumes on one grid, read on the file threads into
+    the class slots of one class-major (Fortran-ordered) probability volume,
+    so each class grid stays contiguous and no copy transposes it."""
+    for c, vol in enumerate(_read_files(paths, kind="scalar")):
+        if c == 0:
             first = vol
+            stack = np.empty(vol.dims + (len(paths),), dtype=np.float32, order="F")
         try:
             assert_same_grid(first, vol)
         except NodemetryError as exc:
-            raise type(exc)(f"{paths[0]} vs {path}: {exc}") from exc
-        grids.append(np.asarray(vol.data, dtype=np.float32))
-    stacked = np.stack(grids, axis=3)
-    return Volume(stacked, first.spacing, first.affine, kind="probability")
+            raise type(exc)(f"{paths[0]} vs {paths[c]}: {exc}") from exc
+        stack[..., c] = vol.data
+    return Volume(stack, first.spacing, first.affine, kind="probability")
 
 
 def _cmd_ensemble(args) -> int:
@@ -194,8 +219,7 @@ def _cmd_ensemble(args) -> int:
     _config(args)
 
     if args.labels:
-        folds = ens.FoldSet(tuple(read_volume(p, kind="label") for p in args.labels),
-                            kind="label")
+        folds = ens.FoldSet(tuple(_read_files(args.labels, kind="label")), kind="label")
         merged = ens.majority_vote(folds)
         write_volume(merged, args.out)
         print(f"majority vote over {len(folds)} label folds -> {args.out}")
@@ -205,16 +229,14 @@ def _cmd_ensemble(args) -> int:
     mean = ens.average_probabilities(ens.FoldSet(members, kind="probability"))
     merged = ens.argmax_labels(mean)
     class_count = mean.data.shape[3]
-    write_volume(merged, args.out)
+    writes = [(merged, args.out)]
     if args.out_probs:
         out_dir = Path(args.out_probs)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for c in range(class_count):
-            write_volume(
-                Volume(np.ascontiguousarray(mean.data[..., c]), mean.spacing,
-                       mean.affine, kind="scalar"),
-                out_dir / f"mean_class{c}.nii.gz",
-            )
+        # each class slice of the class-major mean is a contiguous grid
+        writes += [(Volume(mean.data[..., c], mean.spacing, mean.affine, kind="scalar"),
+                     out_dir / f"mean_class{c}.nii.gz") for c in range(class_count)]
+    list(_map_files(lambda job: write_volume(*job), writes))
     print(f"averaged {len(members)} folds x {class_count} classes -> {args.out}")
     return 0
 
@@ -297,8 +319,8 @@ def _ln_mask(vol: Volume, ln_class: int) -> Volume:
 
 def _cmd_eval(args) -> int:
     metrics.check_eval_options(args.threshold_mm, args.match_min_overlap)
-    pairs = _pair_volumes(args)
     jobs = _jobs(args)
+    pairs = _pair_volumes(args)
     # the input flags are echoed as the pairs they resolve to
     config = _config(args, hide=("gt", "pred", "gt_dir", "pred_dir", "manifest"), jobs=jobs,
                      pairs=[[pid, str(g), str(p)] for pid, g, p in pairs])

@@ -53,7 +53,9 @@ def average_probabilities(folds: FoldSet) -> Volume:
     """Per-voxel, per-class arithmetic mean of the fold probabilities."""
     if folds.kind != "probability":
         raise ValidationError("average_probabilities needs probability folds")
-    acc = np.zeros(folds.members[0].data.shape, dtype=np.float64)
+    # in the members' memory layout, so a class slice of a class-major
+    # stack stays one contiguous grid through the mean
+    acc = np.zeros_like(folds.members[0].data, dtype=np.float64)
     for vol in folds.members:
         acc += vol.data
     acc /= len(folds)
@@ -61,7 +63,8 @@ def average_probabilities(folds: FoldSet) -> Volume:
     # float64 accumulation, then back to the members' precision: averaging a
     # single fold (or k copies) reproduces it bit-for-bit
     out_dtype = np.result_type(*(v.data.dtype for v in folds.members))
-    return first.with_data(np.clip(acc, 0.0, 1.0).astype(out_dtype), kind="probability")
+    np.clip(acc, 0.0, 1.0, out=acc)  # in place: no second float64 grid
+    return first.with_data(acc.astype(out_dtype), kind="probability")
 
 
 def argmax_labels(probs: Volume) -> Volume:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import gzip
 import os
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -286,18 +287,19 @@ def read_volume(path, kind: str | None = None) -> Volume:
         info, _ = _parse_header(bytes(f.read(HEADER_SIZE)), path)
         dtype = np.dtype(DTYPE_FOR_CODE[info.datatype_code]).newbyteorder(info.byte_order)
         expected = int(np.prod(info.dims)) * dtype.itemsize
-        gz = f is not raw
-        if not gz:
+        if f is raw:
             # checked before reading, so forged dims cannot ask for a huge buffer
             _check_payload(os.fstat(raw.fileno()).st_size - info.vox_offset, expected, path)
-        f.read(info.vox_offset - HEADER_SIZE)
-        # a .gz payload's length is unknown before reading: it is inflated in
-        # chunks, so forged dims cannot size the buffer either, and the rest
-        # of the stream is inflated too, so that its trailers are checked
-        payload = f.read(expected)
-        if gz:
+            raw.seek(info.vox_offset)
+            payload = _read_exact(raw, expected, path)
+        else:
+            # a .gz payload's length is unknown before reading: it is inflated
+            # in chunks, so forged dims cannot size the buffer either, and the
+            # rest of the stream is inflated too, so that its trailers are checked
+            f.read(info.vox_offset - HEADER_SIZE)
+            payload = f.read(expected)
             f.finish()
-    _check_payload(len(payload), expected, path)
+            _check_payload(len(payload), expected, path)
 
     data = np.frombuffer(payload, dtype=dtype)
     if info.byte_order == ">":
@@ -312,6 +314,14 @@ def read_volume(path, kind: str | None = None) -> Volume:
     if kind is None:
         kind = "label" if (data.dtype == np.uint8 and not scaled) else "scalar"
     return Volume(data, info.spacing, info.affine, kind=kind, description=info.description)
+
+
+def _read_exact(f, size: int, path) -> np.ndarray:
+    """size bytes of f read straight into a new buffer; a file that ends
+    sooner (it shrank after its size was checked) is a TruncatedFileError."""
+    buf = np.empty(size, dtype=np.uint8)
+    _check_payload(f.readinto(buf), size, path)
+    return buf
 
 
 def _check_payload(available: int, expected: int, path) -> None:
@@ -350,7 +360,9 @@ def write_volume(volume: Volume, path, compress: bool | None = None) -> None:
 
     compress=None picks gzip when the path ends in .gz. Labels are stored as
     uint8 while the class ids fit one byte. read_volume(write_volume(v))
-    reproduces voxel data bitwise for all supported datatypes.
+    reproduces voxel data bitwise for all supported datatypes. The file is
+    written beside path and renamed over it, so path holds either its old
+    file or the whole new one, never a partial write.
     """
     path = Path(path)
     dims = volume.dims
@@ -388,15 +400,17 @@ def write_volume(volume: Volume, path, compress: bool | None = None) -> None:
         compress = path.suffix == ".gz"
     # the voxels in Fortran order, without a copy when data already is
     payload = np.asfortranarray(data).T
-    if compress:
-        # fixed mtime keeps output byte-identical across runs
-        with open(path, "wb") as raw:
-            with gzip.GzipFile(fileobj=raw, mode="wb", compresslevel=1, mtime=0) as f:
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as raw:
+            # the gzip header names the target, not the temp file; a fixed
+            # mtime keeps output byte-identical across runs
+            with (gzip.GzipFile(filename=str(path), fileobj=raw, mode="wb", compresslevel=1,
+                                mtime=0) if compress else nullcontext(raw)) as f:
                 f.write(hdr.tobytes())
                 f.write(b"\x00\x00\x00\x00")
                 f.write(payload)
-    else:
-        with open(path, "wb") as f:
-            f.write(hdr.tobytes())
-            f.write(b"\x00\x00\x00\x00")
-            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -1,12 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import nodemetry as nm
+from nodemetry import cli, metrics
+from nodemetry import ensemble as ens
 from nodemetry.cli import main
 from conftest import make_volume
 
@@ -356,6 +365,24 @@ def test_threads_env_parsing(tmp_path, monkeypatch):
                  "--pred", str(tmp_path / "p.nii.gz"), "--out-json", str(out)]) == 1
 
 
+@pytest.mark.parametrize("flags, env", [(["--jobs", "0"], "3"), (["--jobs", "-2"], None),
+                                        ([], "0")], ids=["jobs-0", "jobs-negative", "env-0"])
+def test_jobs_below_1_rejected(tmp_path, monkeypatch, capsys, flags, env):
+    # --jobs 0 used to fall back to NODEMETRY_THREADS, and values below 1 became 1
+    arr = two_node_arr()
+    write_mask(tmp_path / "g.nii.gz", arr)
+    if env is None:
+        monkeypatch.delenv("NODEMETRY_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("NODEMETRY_THREADS", env)
+    out = tmp_path / "r.json"
+    rc = main(["eval", "--gt", str(tmp_path / "g.nii.gz"), "--pred", str(tmp_path / "g.nii.gz"),
+               "--out-json", str(out), *flags])
+    assert rc == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_script_entrypoint(tmp_path):
     write_mask(tmp_path / "g.nii.gz", two_node_arr())
     proc = subprocess.run(
@@ -439,3 +466,197 @@ def test_duplicate_class_file_in_prob_dir(tmp_path, capsys, extra):
     assert rc == 1
     err = capsys.readouterr().err
     assert "fold0_class1.nii.gz" in err and extra in err
+
+
+def write_fold_probs(prob_dir, folds, classes, shape=(9, 7, 5), seed=0):
+    """Random fold{K}_class{C} probabilities (class{C} when folds is None)."""
+    rng = np.random.default_rng(seed)
+    prob_dir.mkdir(exist_ok=True)
+    for k in range(folds or 1):
+        raw = rng.random(shape + (classes,))
+        probs = (raw / raw.sum(axis=3, keepdims=True)).astype(np.float32)
+        for c in range(classes):
+            name = f"class{c}.nii.gz" if folds is None else f"fold{k}_class{c}.nii.gz"
+            nm.write_volume(make_volume(np.asfortranarray(probs[..., c]), kind="scalar"),
+                            prob_dir / name)
+
+
+CPU_SETUPS = {
+    "one-cpu": lambda mp: mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False),
+    "four-cpus": lambda mp: mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                                       raising=False),
+    "no-affinity": lambda mp: (mp.delattr(os, "sched_getaffinity", raising=False),
+                               mp.setattr(os, "cpu_count", lambda: 3)),
+}
+
+
+@pytest.mark.parametrize("cpus", sorted(CPU_SETUPS))
+def test_ensemble_outputs_match_stacked_sequence(tmp_path, monkeypatch, cpus):
+    # the files of the class-major stack, read and written on the file
+    # threads, against the class-last np.stack sequence, byte for byte
+    CPU_SETUPS[cpus](monkeypatch)
+    prob_dir = tmp_path / "probs"
+    write_fold_probs(prob_dir, folds=3, classes=4)
+    out = tmp_path / "out"; out.mkdir()
+    assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(out / "merged.nii.gz"),
+                 "--out-probs", str(out)]) == 0
+
+    members = []
+    for k in range(3):
+        grids = [np.asarray(nm.read_volume(prob_dir / f"fold{k}_class{c}.nii.gz",
+                                           kind="scalar").data, dtype=np.float32)
+                 for c in range(4)]
+        members.append(make_volume(np.stack(grids, axis=3), kind="probability"))
+    mean = ens.average_probabilities(ens.FoldSet(tuple(members), kind="probability"))
+    ref = tmp_path / "ref"; ref.mkdir()
+    nm.write_volume(ens.argmax_labels(mean), ref / "merged.nii.gz")
+    for c in range(4):
+        nm.write_volume(make_volume(np.ascontiguousarray(mean.data[..., c]), kind="scalar"),
+                        ref / f"mean_class{c}.nii.gz")
+    names = sorted(p.name for p in ref.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_every_file_command_on_one_cpu(tmp_path, monkeypatch):
+    # fuse, vote, ensemble and loss give the same files on one file thread as on four
+    shape = (9, 7, 5)
+    rng = np.random.default_rng(4)
+    anatomy = tmp_path / "anatomy"; anatomy.mkdir()
+    for name in ("spleen", "liver", "aorta"):
+        write_mask(anatomy / f"{name}.nii.gz", (rng.random(shape) < 0.2).astype(np.uint8))
+    write_mask(tmp_path / "ln.nii.gz", (rng.random(shape) < 0.1).astype(np.uint8))
+    for k in range(3):
+        write_mask(tmp_path / f"vote{k}.nii.gz", rng.integers(0, 3, shape).astype(np.uint8))
+    write_fold_probs(tmp_path / "probs", folds=2, classes=3, shape=shape)
+    write_fold_probs(tmp_path / "loss_probs", folds=None, classes=3, shape=shape)
+    write_mask(tmp_path / "gt.nii.gz", rng.integers(0, 3, shape).astype(np.uint8))
+
+    def run(cpus, out):
+        CPU_SETUPS[cpus](monkeypatch)
+        out.mkdir()
+        assert main(["fuse", "--anatomy-dir", str(anatomy), "--ln", str(tmp_path / "ln.nii.gz"),
+                     "--out", str(out / "fused.nii.gz")]) == 0
+        assert main(["ensemble", "--labels", *(str(tmp_path / f"vote{k}.nii.gz")
+                                               for k in range(3)),
+                     "--out", str(out / "vote.nii.gz")]) == 0
+        assert main(["ensemble", "--prob-dir", str(tmp_path / "probs"),
+                     "--out", str(out / "merged.nii.gz"), "--out-probs", str(out)]) == 0
+        assert main(["loss", "--prob-dir", str(tmp_path / "loss_probs"),
+                     "--gt", str(tmp_path / "gt.nii.gz"),
+                     "--out-json", str(out / "loss.json")]) == 0
+        monkeypatch.undo()
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        files["loss.json"] = json.loads(files["loss.json"])["loss"]  # its config names out
+        return files
+
+    one = run("one-cpu", tmp_path / "one")
+    assert len(one) == 7
+    assert one == run("four-cpus", tmp_path / "four")
+
+
+@pytest.mark.parametrize("cpus, classes, workers", [("one-cpu", 6, 1), ("four-cpus", 6, 4),
+                                                    ("four-cpus", 3, 3), ("no-affinity", 6, 3)])
+def test_file_threads_are_min_of_files_and_usable_cpus(tmp_path, monkeypatch, cpus, classes,
+                                                       workers):
+    CPU_SETUPS[cpus](monkeypatch)
+    write_fold_probs(tmp_path / "probs", folds=None, classes=classes)
+    write_mask(tmp_path / "gt.nii.gz", np.zeros((9, 7, 5), np.uint8))
+    sizes = []
+    pool = cli.ThreadPoolExecutor
+    monkeypatch.setattr(cli, "ThreadPoolExecutor",
+                        lambda max_workers: sizes.append(max_workers) or pool(max_workers))
+    assert main(["loss", "--prob-dir", str(tmp_path / "probs"),
+                 "--gt", str(tmp_path / "gt.nii.gz")]) == 0
+    assert sizes == [workers]
+
+
+def _break_crc(path):
+    blob = bytearray(path.read_bytes())
+    blob[-8] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _break_grid(path):
+    nm.write_volume(make_volume(np.full((9, 7, 6), 0.25, np.float32), kind="scalar"), path)
+
+
+@pytest.mark.parametrize("command", ["ensemble", "loss"])
+@pytest.mark.parametrize("faults, code", [({2: _break_crc}, 2), ({2: _break_grid}, 1),
+                                          ({1: _break_grid, 3: _break_crc}, 1),
+                                          ({1: _break_crc, 3: _break_grid}, 2)],
+                         ids=["crc", "grid", "grid-then-crc", "crc-then-grid"])
+def test_first_bad_class_file_in_file_order_is_reported(tmp_path, capsys, command, faults,
+                                                         code):
+    # class files are read in parallel, but the error is that of the first bad
+    # file in file order: a corrupt file exits 2 naming it, a file on another
+    # grid exits 1 naming the fold's first file and itself
+    prob_dir = tmp_path / "probs"
+    prefix = "fold1_" if command == "ensemble" else ""
+    write_fold_probs(prob_dir, folds=2 if command == "ensemble" else None, classes=5)
+    for c, breaker in faults.items():
+        breaker(prob_dir / f"{prefix}class{c}.nii.gz")
+    write_mask(tmp_path / "gt.nii.gz", np.zeros((9, 7, 5), np.uint8))
+    out = tmp_path / "merged.nii.gz"
+    argv = {"ensemble": ["ensemble", "--prob-dir", str(prob_dir), "--out", str(out)],
+            "loss": ["loss", "--prob-dir", str(prob_dir), "--gt", str(tmp_path / "gt.nii.gz")]}
+    assert main(argv[command]) == code
+    err = capsys.readouterr().err
+    first_bad = min(faults)
+    named = [n for n in (f"{prefix}class{c}.nii.gz" for c in range(5)) if n in err]
+    assert named == ([f"{prefix}class0.nii.gz"] if code == 1 else []) + \
+        [f"{prefix}class{first_bad}.nii.gz"]
+    assert not out.exists()
+
+
+def test_file_error_cancels_reads_not_started(tmp_path, monkeypatch):
+    CPU_SETUPS["one-cpu"](monkeypatch)
+    prob_dir = tmp_path / "probs"
+    write_fold_probs(prob_dir, folds=None, classes=6)
+    _break_crc(prob_dir / "class1.nii.gz")
+    write_mask(tmp_path / "gt.nii.gz", np.zeros((9, 7, 5), np.uint8))
+    started = []
+    read_volume = cli.read_volume
+
+    def slow_read(path, kind=None):
+        started.append(path.name)
+        if path.name > "class1":
+            time.sleep(0.3)  # holds the one file thread while class1's error is raised
+        return read_volume(path, kind=kind)
+
+    monkeypatch.setattr(cli, "read_volume", slow_read)
+    assert main(["loss", "--prob-dir", str(prob_dir), "--gt", str(tmp_path / "gt.nii.gz")]) == 2
+    # class0, class1, and at most the read that was running when class1 failed
+    assert started[:2] == ["class0.nii.gz", "class1.nii.gz"] and len(started) <= 3
+
+
+@st.composite
+def class_probabilities(draw):
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    classes = draw(st.integers(2, 5))
+    raw = draw(hnp.arrays(np.float64, shape + (classes,), elements=st.floats(0.0, 1.0)))
+    sums = raw.sum(axis=3, keepdims=True)
+    probs = np.where(sums > 0, raw / np.where(sums > 0, sums, 1.0), 1.0 / classes)
+    labels = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, classes - 1)))
+    return probs.astype(np.float32), np.asfortranarray(labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=class_probabilities())
+def test_loss_of_class_major_stack_equals_stacked_oracle(case):
+    # loss.json is byte-identical only while the loss of the class-major
+    # stack is == the loss of the class-last np.stack one
+    probs, labels = case
+    classes = probs.shape[3]
+    with tempfile.TemporaryDirectory() as d:
+        paths = [Path(d) / f"class{c}.nii.gz" for c in range(classes)]
+        for c, path in enumerate(paths):
+            nm.write_volume(make_volume(np.asfortranarray(probs[..., c]), kind="scalar"), path)
+        stack = cli._read_prob_stack(paths)
+        oracle = make_volume(np.stack([np.asarray(nm.read_volume(p, kind="scalar").data,
+                                                  dtype=np.float32) for p in paths], axis=3),
+                             kind="probability")
+    assert stack.data.flags.f_contiguous and np.array_equal(stack.data, oracle.data)
+    gt = make_volume(labels, kind="label", class_count=classes)
+    assert metrics.composite_loss(stack, gt) == metrics.composite_loss(oracle, gt)

@@ -43,6 +43,18 @@ def test_average_keeps_distributions_valid(rng):
     assert np.abs(sums - 1.0).max() < 1e-5
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_average_keeps_the_members_layout(rng, order):
+    # a class-major (F) stack gives contiguous class grids that reach the
+    # writer without a copy; the values do not depend on the layout
+    folds = [random_prob(rng, (5, 4, 3), 4) for _ in range(3)]
+    ref = nm.average_probabilities(nm.FoldSet(tuple(folds), "probability"))
+    laid = tuple(make_volume(np.asarray(f.data, order=order), kind="probability") for f in folds)
+    out = nm.average_probabilities(nm.FoldSet(laid, "probability"))
+    assert out.data.flags[f"{order}_CONTIGUOUS"]
+    assert np.array_equal(out.data, ref.data)
+
+
 def test_average_matches_naive(rng):
     folds = tuple(random_prob(rng, (3, 3, 2), 3) for _ in range(5))
     out = nm.average_probabilities(nm.FoldSet(folds, "probability"))

@@ -1,4 +1,5 @@
 import gzip
+import io
 import struct
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import nodemetry as nm
+from nodemetry import nifti_io
 from nodemetry.cli import main
 from conftest import make_volume
 from oracles import ref_read_nifti
@@ -148,6 +150,14 @@ def test_truncated_payload(tmp_path):
     with pytest.raises(nm.TruncatedFileError) as exc:
         nm.read_volume(path)
     assert "100" in str(exc.value) and "216" in str(exc.value)
+
+
+def test_short_payload_read_is_truncated():
+    # a .nii that shrinks after its size was checked: readinto fills fewer bytes
+    with pytest.raises(nm.TruncatedFileError, match="payload is 40 bytes, header promises 64"):
+        nifti_io._read_exact(io.BytesIO(bytes(40)), 64, "v.nii")
+    assert nifti_io._read_exact(io.BytesIO(bytes(range(64))), 64, "v.nii").tobytes() \
+        == bytes(range(64))
 
 
 def test_negative_labels_never_wrap(tmp_path):
@@ -311,6 +321,45 @@ def test_gzip_output_is_gzip(tmp_path):
     blob = (tmp_path / "v.nii.gz").read_bytes()
     assert blob[:2] == b"\x1f\x8b"
     assert len(gzip.decompress(blob)) == 352 + 64
+    # the FNAME field names the target, not the temp file it was written to
+    assert blob[3] & 0x08 and blob[10:].startswith(b"v.nii\x00")
+
+
+class _FailingFile:
+    """A file whose second write fails, as on a full disk."""
+
+    def __init__(self, f, error):
+        self._f, self._error, self._writes = f, error, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            raise self._error
+        return self._f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["disk-full", "interrupt"])
+@pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, name, error):
+    path = tmp_path / name
+    nm.write_volume(make_volume(np.ones((6, 6, 6), np.uint8)), path)
+    old = path.read_bytes()
+    monkeypatch.setattr(nifti_io, "open", lambda *a: _FailingFile(open(*a), error),
+                        raising=False)
+    with pytest.raises(type(error)):
+        nm.write_volume(make_volume(np.full((6, 6, 6), 2, np.uint8)), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 GZ_GRID = np.arange(20 ** 3, dtype=np.int16).reshape((20, 20, 20)) % 97
