@@ -47,7 +47,7 @@ from .morphometry import (
     min_width,
     slice_footprint,
 )
-from .nifti_io import HeaderInfo, read_header, read_volume, write_volume
+from .nifti_io import HeaderInfo, VolumeFile, open_volume, read_header, read_volume, write_volume
 from .phantom import PhantomNode, PhantomSpec, generate, load_phantom_spec, random_spec
 from .volume import Volume, assert_same_grid, canonicalize, identity_affine, world_coords
 

@@ -17,15 +17,17 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import ensemble as ens
 from . import fusion, metrics, morphometry, phantom
-from .components import filter_components, label_components
+from .components import Foreground, filter_components, label_components
 from .errors import NiftiFormatError, NodemetryError, ValidationError
-from .nifti_io import read_volume, write_volume
+from .nifti_io import VolumeFile, open_volume, read_volume, write_volume
 from .volume import Volume, assert_same_grid, canonicalize
 
 DEFAULT_LN_CLASS = 2
@@ -172,12 +174,12 @@ def _cmd_fuse(args) -> int:
 def _cmd_cc(args) -> int:
     config = _config(args)
 
-    vol = read_volume(args.mask)
-    cset = label_components(vol, args.connectivity)
+    mask = open_volume(args.mask)
+    cset = label_components(mask, args.connectivity)
     cset = filter_components(cset, args.min_voxels)
     if args.out_labels:
-        write_volume(vol.with_data(cset.component_of, kind="label",
-                                   class_count=cset.count + 1), args.out_labels)
+        write_volume(mask.with_data(cset.component_of, kind="label",
+                                    class_count=cset.count + 1), args.out_labels)
     if args.out_summary:
         _write_json(_report(config, count=cset.count, sizes=[int(s) for s in cset.sizes]),
                     args.out_summary)
@@ -188,9 +190,9 @@ def _cmd_cc(args) -> int:
 def _cmd_measure(args) -> int:
     _config(args)
 
-    vol = canonicalize(read_volume(args.mask))
-    cset = label_components(vol, args.connectivity)
-    measurements = morphometry.measure_components(cset, vol)
+    mask = canonicalize(open_volume(args.mask))
+    cset = label_components(mask, args.connectivity)
+    measurements = morphometry.measure_components(cset, mask)
     Path(args.out).write_text(morphometry.measurements_to_csv(measurements),
                               encoding="utf-8")
     print(f"measured {cset.count} nodes -> {args.out}")
@@ -302,19 +304,55 @@ def _print_cohort_summary(cohort: metrics.CohortReport, threshold: float) -> Non
                   f"± {100 * stats.std:.1f} (n={stats.n})")
 
 
-def _ln_mask(vol: Volume, ln_class: int) -> Volume:
-    """The lymph-node mask of an eval input.
+class _LnForeground(Foreground):
+    """The lymph-node mask of an eval label file, decided in its labeling pass.
 
-    Label volumes holding more than 0 and 1 are multi-class and give up
-    ln_class, except 0/255 masks: those are binary (nonzero is foreground,
-    as everywhere downstream), as many tools store them.
+    A label file whose nonzero voxels all hold 1, or all hold 255, is a
+    binary mask (nonzero is foreground, as everywhere downstream; many tools
+    store masks as 0/255). Any other is multi-class and gives up its ln_class
+    voxels. Every nonzero voxel is kept while the file looks binary; those
+    all hold one value, so when a chunk shows the file multi-class they stay
+    if that value is ln_class, give way to the zero voxels before the chunk
+    if ln_class is 0, and go otherwise.
     """
-    if vol.kind != "label" or vol.class_count == 2:
-        return vol
-    data = vol.data
-    hi = int(data.max())
-    binary = hi <= 1 or (hi == 255 and np.count_nonzero(data) == np.count_nonzero(data == 255))
-    return vol if binary else fusion.extract_class(vol, ln_class)
+
+    def __init__(self, ln_class: int):
+        super().__init__()
+        self.ln_class = ln_class
+        self.value = None  # the one nonzero value seen while the file looks binary
+        self.binary = True
+
+    def add(self, keys, chunk, start):
+        flat = chunk.ravel(order="F")
+        values = flat[keys - start]
+        if self.binary and values.size:
+            hi = values.max()
+            if values.min() == hi and hi in (1, 255) and self.value in (None, hi):
+                self.value = hi
+            else:
+                self._multi_class(start)
+        if self.binary:
+            self._parts.append(keys)
+        elif self.ln_class == 0:
+            self._parts.append(np.flatnonzero(flat == 0) + start)
+        else:
+            self._parts.append(keys[values == self.ln_class])
+
+    def _multi_class(self, start: int) -> None:
+        """The file is multi-class: keep only the ln_class voxels before start."""
+        self.binary = False
+        if self.ln_class == 0:
+            self._parts = [np.setdiff1d(np.arange(start), self.keys(), assume_unique=True)]
+        elif self.ln_class != self.value:
+            self._parts = []
+
+
+def _ln_mask(mask: VolumeFile, ln_class: int) -> VolumeFile:
+    """The lymph-node mask of an eval input: a label file is binary or gives
+    up ln_class (_LnForeground); any other file's nonzero voxels."""
+    if mask.kind != "label":
+        return mask
+    return replace(mask, foreground=partial(_LnForeground, ln_class))
 
 
 def _cmd_eval(args) -> int:
@@ -327,14 +365,14 @@ def _cmd_eval(args) -> int:
 
     def one(pair):
         pid, gt_path, pred_path = pair
-        gt = _ln_mask(read_volume(gt_path), args.ln_class)
-        pred = _ln_mask(read_volume(pred_path), args.ln_class)
+        gt = _ln_mask(open_volume(gt_path), args.ln_class)
+        pred = _ln_mask(open_volume(pred_path), args.ln_class)
         try:
             return metrics.evaluate_patient(
                 gt, pred, threshold_mm=args.threshold_mm,
                 connectivity=args.connectivity,
                 match_min_overlap=args.match_min_overlap, patient_id=pid)
-        except NodemetryError as exc:
+        except ValidationError as exc:
             raise type(exc)(f"{gt_path} vs {pred_path}: {exc}") from exc
 
     if jobs > 1 and len(pairs) > 1:

@@ -1,13 +1,16 @@
 """3D connected components of binary masks, the unit of per-node analysis.
 
-Every labeling starts with one occupancy scan: a cheap pass that finds the
-slabs along the slowest memory axis holding any foreground (axial slices for
-the Fortran-ordered grids read from disk). Indexing then runs only inside
-the runs of occupied slabs, so a node mask on a 500+ slice CT grid never pays
-for a second whole-grid pass. The foreground keys are labeled as runs along
-rows joined by a union-find (run-based labeling, He, Chao & Suzuki, IEEE TIP
-2008), in NumPy only, at a cost that scales with the foreground, for sparse
-node annotations and dense fused label maps alike.
+Every labeling makes one pass over the mask, in chunks of whole slabs along
+its slowest memory axis (axial slices for the Fortran-ordered grids read
+from disk): an in-memory grid is one chunk, a file (nifti_io.VolumeFile) is
+read chunk by chunk into one reused buffer, so labeling a file never holds
+its grid. Per chunk, an occupancy scan finds the slabs holding any
+foreground, and indexing runs only inside the runs of occupied slabs. The
+foreground keys are then put in the labeled grid's scan order (for a
+canonicalized file, by permuting and flipping their coordinates) and
+labeled as runs along rows joined by a union-find (run-based labeling, He,
+Chao & Suzuki, IEEE TIP 2008), in NumPy only, at a cost that scales with the
+foreground, for sparse node annotations and dense fused label maps alike.
 
 Component ids follow first-voxel scan order (lexicographic over i, j, k),
 which makes the partition deterministic and directly comparable with a
@@ -19,6 +22,7 @@ coordinates are derived from the keys when asked for.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,10 +102,20 @@ def _component_set(shape, keys: np.ndarray, labels: np.ndarray, count: int,
     """ComponentSet from the scan-ordered foreground keys and their labels."""
     coords = _unravel(keys, shape)
     sizes = np.bincount(labels, minlength=count + 1)[1:].astype(np.int64)
-    # Fortran order keeps later NIfTI writes a straight memcpy
-    out = np.zeros(shape, dtype=_index_dtype(count), order="F")
+    out = _zeros(shape, _index_dtype(count))
     out[coords[:, 0], coords[:, 1], coords[:, 2]] = labels
     return ComponentSet(count, out, sizes, connectivity, keys, labels.astype(out.dtype))
+
+
+def _zeros(shape, dtype: np.dtype) -> np.ndarray:
+    """A zero grid in Fortran order (it keeps later NIfTI writes a straight
+    memcpy) that holds memory only where it is written: private anonymous
+    pages, which read as the shared zero page until written, without the
+    huge-page advice NumPy gives large arrays, so labels on a few slices of a
+    CT grid commit a few 4 KiB pages, not 2 MiB ones."""
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(count, 1) * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype, count=count).reshape(shape, order="F")
 
 
 def _unravel(keys: np.ndarray, shape) -> np.ndarray:
@@ -123,36 +137,77 @@ def _slab_view(data: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.asfortranarray(data), False
 
 
-def _occupied_runs(f: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(first slab, view) of each run of consecutive slabs along the last axis
-    of a Fortran-contiguous grid that hold foreground.
+def _chunk_keys(chunk: np.ndarray) -> np.ndarray:
+    """Ascending offsets, in memory order, of the nonzero voxels of a
+    Fortran-contiguous chunk of whole slabs (along its last axis).
 
-    The one whole-grid pass of a labeling: a reduction over contiguous
-    memory, far cheaper than indexing the grid.
+    An occupancy reduction over contiguous memory finds the runs of slabs
+    holding foreground, and flatnonzero walks those runs only, while the
+    chunk is still in cache.
     """
-    nx, ny, nz = f.shape
-    occupied = f.reshape((nx * ny, nz), order="F").any(axis=0)
+    nx, ny, nz = chunk.shape
+    occupied = chunk.reshape((nx * ny, nz), order="F").any(axis=0)
     edges = np.flatnonzero(np.diff(occupied, prepend=False, append=False)).tolist()
-    return [(a, f[:, :, a:b]) for a, b in zip(edges[::2], edges[1::2])]
+    return np.concatenate([np.flatnonzero(chunk[:, :, a:b].ravel(order="F")) + a * (nx * ny)
+                           for a, b in zip(edges[::2], edges[1::2])]
+                          or [np.zeros(0, dtype=np.int64)])
 
 
-def _run_keys(f: np.ndarray, transposed: bool,
-              runs: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Ascending C-order linear keys of the foreground inside the runs.
+class Foreground:
+    """The foreground of a labeling pass, gathered chunk by chunk: every
+    nonzero voxel. A subclass can pick other voxels from the chunks."""
 
-    flatnonzero over a Fortran-contiguous run walks memory linearly. For
-    transposed (C-ordered) input its offsets already are the C-order keys;
-    otherwise they are Fortran-order indices, converted and re-sorted.
+    def __init__(self):
+        self._parts: list[np.ndarray] = []
+
+    def add(self, keys: np.ndarray, chunk: np.ndarray, start: int) -> None:
+        """Take a chunk: keys are the memory-order offsets, on the whole
+        grid, of its nonzero voxels; start is the offset of its first."""
+        self._parts.append(keys)
+
+    def keys(self) -> np.ndarray:
+        """Ascending memory-order offsets of the foreground."""
+        return np.concatenate(self._parts or [np.zeros(0, dtype=np.int64)])
+
+
+def _scan_order(offsets: np.ndarray, shape, perm, flips) -> tuple[np.ndarray, tuple]:
+    """Ascending C-order keys, and the shape, of the grid whose axis a is axis
+    perm[a] of a Fortran-ordered grid of the given shape, reversed where
+    flips[a], for the memory-order offsets of voxels on that grid."""
+    out_shape = tuple(shape[p] for p in perm)
+    if perm == (2, 1, 0) and not any(flips):
+        return offsets, out_shape  # Fortran order on shape is C order on its reverse
+    rest, i = np.divmod(offsets, shape[0])
+    k, j = np.divmod(rest, shape[1])
+    coords = [(i, j, k)[p] for p in perm]
+    for a in range(3):
+        if flips[a]:
+            coords[a] = out_shape[a] - 1 - coords[a]
+    return np.sort((coords[0] * out_shape[1] + coords[1]) * out_shape[2] + coords[2]), out_shape
+
+
+def _foreground_keys(mask) -> tuple[np.ndarray, tuple]:
+    """Ascending C-order keys of the foreground of a mask, and the shape of
+    the grid they index, from one pass over its chunks.
+
+    A VolumeFile's chunks come from its file, in file order, and its keys are
+    put in the order of its (perhaps canonical) grid; a Volume or array is one
+    chunk, its Fortran-contiguous view, and keeps its own order.
     """
-    nx, ny, nz = f.shape
-    keys = np.concatenate([np.flatnonzero(run.ravel(order="F")) + a * (nx * ny)
-                           for a, run in runs] or [np.zeros(0, dtype=np.int64)])
-    if transposed:
-        return keys
-    i = keys % nx
-    j = (keys // nx) % ny
-    k = keys // (nx * ny)
-    return np.sort((i * ny + j) * nz + k)
+    if hasattr(mask, "chunks"):
+        chunks, perm, flips = mask.chunks(), mask.perm, mask.flips
+        foreground = (mask.foreground or Foreground)()
+    else:
+        f, transposed = _slab_view(_as_mask(mask))
+        chunks, perm, flips = (f,), ((2, 1, 0) if transposed else (0, 1, 2)), (False,) * 3
+        foreground = Foreground()
+    start, depth = 0, 0
+    for chunk in chunks:
+        foreground.add(_chunk_keys(chunk) + start, chunk, start)
+        start += chunk.size
+        depth += chunk.shape[2]
+        plane = chunk.shape[:2]
+    return _scan_order(foreground.keys(), plane + (depth,), perm, flips)
 
 
 def _run_ids(keys: np.ndarray, shape, connectivity: int) -> tuple[np.ndarray, int]:
@@ -209,20 +264,18 @@ def _run_ids(keys: np.ndarray, shape, connectivity: int) -> tuple[np.ndarray, in
 
 
 def label_components(mask, connectivity: int = 26) -> ComponentSet:
-    """Decompose a binary mask (Volume or 3D array) into connected components.
+    """Decompose a binary mask (Volume, 3D array or nifti_io.VolumeFile) into
+    connected components.
 
-    One occupancy scan finds the slabs holding foreground, and the foreground
-    keys are indexed inside those slabs only. Their runs along rows are
-    joined into components by a union-find, and the ids are numbered in scan
-    order.
+    One pass over the mask's chunks finds the foreground keys, indexing only
+    the slabs that hold foreground. Their runs along rows are joined into
+    components by a union-find, and the ids are numbered in scan order.
     """
     if connectivity not in CONNECTIVITIES:
         raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}")
-    data = _as_mask(mask)
-    f, transposed = _slab_view(data)
-    keys = _run_keys(f, transposed, _occupied_runs(f))
-    labels, count = _run_ids(keys, data.shape, connectivity)
-    return _component_set(data.shape, keys, labels, count, connectivity)
+    keys, shape = _foreground_keys(mask)
+    labels, count = _run_ids(keys, shape, connectivity)
+    return _component_set(shape, keys, labels, count, connectivity)
 
 
 def filter_components(cset: ComponentSet, min_voxels: int = 1) -> ComponentSet:

@@ -74,9 +74,23 @@ def argmax_labels(probs: Volume) -> Volume:
     """
     if probs.kind != "probability":
         raise ValidationError("argmax_labels needs a probability volume")
-    labels = np.argmax(probs.data, axis=3)  # argmax picks the first maximum
+    data = probs.data
     dtype = np.uint8 if probs.class_count <= 256 else np.int32
-    return probs.with_data(labels.astype(dtype), kind="label", class_count=probs.class_count)
+    if data.flags.c_contiguous:
+        # each voxel's classes lie side by side: one contiguous pass
+        labels = np.argmax(data, axis=3).astype(dtype)  # argmax picks the first maximum
+    else:
+        # a class-major stack: a running maximum over its contiguous class
+        # grids, where np.argmax would first copy the stack transposed;
+        # ascending ids and a strict > keep the first maximum, as np.argmax
+        # does (probabilities are never NaN)
+        best = data[..., 0].copy(order="K")
+        labels = np.zeros_like(best, dtype=dtype)
+        for c in range(1, probs.class_count):
+            better = data[..., c] > best
+            labels[better] = c
+            np.maximum(best, data[..., c], out=best)
+    return probs.with_data(labels, kind="label", class_count=probs.class_count)
 
 
 def majority_vote(folds: FoldSet) -> Volume:

@@ -182,15 +182,17 @@ def evaluate_patient(gt_ln: Volume, pred_ln: Volume,
     one voxel, or at least match_min_overlap of the predicted component's
     voxels when set). Per-node Dice compares a node against the union of its
     matched components; stratum Dice compares the union of the stratum's
-    nodes against the union of components matched to any of them.
+    nodes against the union of components matched to any of them. Each mask
+    is a Volume or a nifti_io.VolumeFile, which is labeled straight from its
+    file.
     """
     check_eval_options(threshold_mm, match_min_overlap)
     assert_same_grid(gt_ln, pred_ln)
     gt_c = canonicalize(gt_ln)
     pred_c = canonicalize(pred_ln)
 
-    gt_set = label_components(gt_c.data, connectivity)
-    pred_set = label_components(pred_c.data, connectivity)
+    gt_set = label_components(gt_c, connectivity)
+    pred_set = label_components(pred_c, connectivity)
     measurements = measure_components(gt_set, gt_c)
     large, small = stratify(measurements, threshold_mm)
 

@@ -10,16 +10,23 @@ Supported datatype codes: 2 (uint8), 4 (int16), 8 (int32), 16 (float32).
 
 A .nii.gz is inflated by zlib in bounded chunks to the end of the stream, so
 every gzip trailer is checked and a broken stream never yields voxels.
+
+read_volume reads a whole grid. open_volume reads only the header and gives
+a VolumeFile, whose voxels a pass reads in fixed-size chunks of whole
+z-slices into one reused buffer, so labeling a mask never holds its grid.
+Both go through one payload reader, with the same checks.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import zlib
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,13 +36,16 @@ from .errors import (
     UnsupportedDatatypeError,
     ValidationError,
 )
-from .volume import Volume, identity_affine
+from .volume import Volume, identity_affine, reoriented
 
 HEADER_SIZE = 348
 MIN_VOX_OFFSET = 352  # 348-byte header + 4-byte extension flag
 MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
 _READ_CHUNK = 1 << 20  # bytes per read of a gzip payload
+_SCAN_CHUNK = 1 << 21  # payload bytes per chunk of whole z-slices in a pass
+_MAX_INFLATE_RATIO = 1032  # deflate's largest ratio of output to input bytes
+_HOLE = 1 << 16  # bytes per all-zero block that a .nii write leaves as a hole
 
 # numpy dtype <-> NIfTI-1 datatype code, restricted to what the toolkit stores
 DTYPE_FOR_CODE = {2: "u1", 4: "i2", 8: "i4", 16: "f4"}
@@ -107,6 +117,17 @@ class HeaderInfo:
     vox_offset: int = MIN_VOX_OFFSET
     byte_order: str = "<"
 
+    @property
+    def scaled(self) -> bool:
+        """Whether scl_slope/scl_inter apply: slope set, nonzero and not the identity."""
+        slope, inter = self.scl_slope, self.scl_inter
+        return slope != 0.0 and math.isfinite(slope) and not (slope == 1.0 and inter == 0.0)
+
+    @property
+    def kind(self) -> str:
+        """Unscaled uint8 grids are labels, everything else scalar."""
+        return "label" if self.datatype_code == 2 and not self.scaled else "scalar"
+
 
 def _quaternion_affine(hdr) -> np.ndarray:
     """Rotation affine from the q-form quaternion fields."""
@@ -130,7 +151,9 @@ def _affine_from_header(hdr, spacing) -> np.ndarray:
     if int(hdr["sform_code"]) > 0:
         return np.stack([hdr["srow_x"], hdr["srow_y"], hdr["srow_z"]]).astype(np.float64)
     if int(hdr["qform_code"]) > 0:
-        return _quaternion_affine(hdr)
+        # non-finite quaternion fields give non-finite entries, rejected by the caller
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _quaternion_affine(hdr)
     return identity_affine(spacing)
 
 
@@ -176,24 +199,34 @@ def _parse_header(raw: bytes, path) -> tuple[HeaderInfo, np.void]:
     spacing = tuple(float(hdr["pixdim"][i]) for i in (1, 2, 3))
     # tolerate missing spacing on collapsed axes only
     spacing = tuple(s if n > 1 or s > 0 else 1.0 for s, n in zip(spacing, dims))
-    if any(s <= 0 for s in spacing):
-        raise NiftiFormatError(f"{path}: non-positive pixdim {spacing}")
+    # negated so that NaN, which fails every comparison, is rejected too
+    if not all(0 < s < math.inf for s in spacing):
+        raise NiftiFormatError(f"{path}: pixdim {spacing} is not positive and finite")
 
-    vox_offset = int(float(hdr["vox_offset"]))
-    if vox_offset < MIN_VOX_OFFSET:
-        raise NiftiFormatError(f"{path}: vox_offset {vox_offset} < {MIN_VOX_OFFSET}")
+    vox_offset = float(hdr["vox_offset"])
+    if not MIN_VOX_OFFSET <= vox_offset < math.inf:
+        raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not finite and "
+                               f">= {MIN_VOX_OFFSET}")
+
+    affine = _affine_from_header(hdr, spacing)
+    if not np.isfinite(affine).all():
+        raise NiftiFormatError(f"{path}: non-finite affine {affine.tolist()}")
 
     info = HeaderInfo(
         dims=dims,
         datatype_code=code,
         spacing=spacing,
-        affine=_affine_from_header(hdr, spacing),
+        affine=affine,
         scl_slope=float(hdr["scl_slope"]),
         scl_inter=float(hdr["scl_inter"]),
         description=bytes(hdr["descrip"]).rstrip(b"\x00").decode("utf-8", "replace"),
-        vox_offset=vox_offset,
+        vox_offset=int(vox_offset),
         byte_order=order,
     )
+    if info.scaled and not math.isfinite(info.scl_inter):
+        # it would turn every voxel into the same non-finite value
+        raise NiftiFormatError(f"{path}: scl_inter {info.scl_inter} with scl_slope "
+                               f"{info.scl_slope}")
     return info, hdr
 
 
@@ -213,19 +246,31 @@ class _GzipReader:
         self._inflater = zlib.decompressobj(31)
         self._pending = b""  # compressed input not yet inflated
 
-    def read(self, size: int) -> bytearray:
-        """Up to size inflated bytes, fewer only where the stream ends.
+    def read(self, size: int) -> bytes:
+        """Up to size inflated bytes, fewer only where the stream ends; for
+        the header, whose size is fixed."""
+        buf = bytearray(size)
+        return bytes(buf[:self.readinto(buf)])
 
-        The buffer grows in place as data arrives, so its peak is the bytes
-        present plus one chunk, whatever size claims.
-        """
-        buf = bytearray()
-        while len(buf) < size:
-            piece = self._inflate(min(_READ_CHUNK, size - len(buf)))
-            if piece is None:
-                break
-            buf += piece
-        return buf
+    def readinto(self, buf) -> int:
+        """Fill buf with inflated bytes; the count, short only where the stream ends."""
+        view = memoryview(buf).cast("B")
+        done = 0
+        for piece in self._pieces(len(view)):
+            view[done:done + len(piece)] = piece
+            done += len(piece)
+        return done
+
+    def skip(self, size: int) -> int:
+        """Inflate and drop up to size bytes; the count, short only where the
+        stream ends. Memory stays at one chunk, whatever size claims."""
+        return sum(len(piece) for piece in self._pieces(size))
+
+    def _pieces(self, size: int):
+        done = 0
+        while done < size and (piece := self._inflate(min(_READ_CHUNK, size - done))):
+            done += len(piece)
+            yield piece
 
     def finish(self) -> None:
         """Inflate to the end of the last member, checking every trailer;
@@ -266,11 +311,76 @@ def _open_for_read(f, path):
     return _GzipReader(f, path) if head == b"\x1f\x8b" else f
 
 
+class _Payload:
+    """The voxel payload of an open NIfTI-1 file, read front to back into
+    the caller's buffers: a whole grid and a reused chunk buffer are filled
+    by the same code, with the same checks.
+
+    Opening parses the header and moves to the payload. A payload that the
+    file cannot hold is a TruncatedFileError before any buffer is sized, so
+    forged dims never ask for a huge one. A .nii's file size bounds its
+    payload. A .gz payload's length is unknown before reading; deflate's
+    largest ratio times the compressed size bounds it, and past that bound
+    the stream is inflated through, in chunks, to count what it holds.
+    readinto fills a whole buffer or raises TruncatedFileError. finish, after
+    the last read, inflates a .nii.gz to the end of its stream, so that every
+    trailer is checked.
+    """
+
+    def __init__(self, raw, path):
+        self._raw, self._path = raw, path
+        self._f = _open_for_read(raw, path)
+        self.header = bytes(self._f.read(HEADER_SIZE))
+        self.info, _ = _parse_header(self.header, path)
+        self.dtype = np.dtype(DTYPE_FOR_CODE[self.info.datatype_code]).newbyteorder(
+            self.info.byte_order)
+        self.nbytes = math.prod(self.info.dims) * self.dtype.itemsize
+        self._done = 0
+        size = os.fstat(raw.fileno()).st_size
+        if self._f is raw:
+            self._check(size - self.info.vox_offset)
+            raw.seek(self.info.vox_offset)
+        else:
+            self._f.skip(self.info.vox_offset - HEADER_SIZE)
+            if self.nbytes > _MAX_INFLATE_RATIO * size:
+                self._check(self._f.skip(self.nbytes))
+
+    def readinto(self, buf: np.ndarray) -> None:
+        got = self._f.readinto(buf)
+        self._done += got
+        if got < len(buf):  # the file ended early, or shrank after its size was checked
+            raise self._truncated(self._done)
+
+    def finish(self) -> None:
+        if self._f is not self._raw:
+            self._f.finish()
+
+    def decode(self, buf: np.ndarray, shape) -> np.ndarray:
+        """The voxels in buf as a Fortran-ordered grid of the given shape, in
+        native byte order, scaled as the header says in float32 arithmetic."""
+        data = buf.view(self.dtype)
+        if self.info.byte_order == ">":
+            data = data.astype(self.dtype.newbyteorder("="))
+        data = data.reshape(shape, order="F")
+        if self.info.scaled:
+            # values past the float32 range become inf, as the header asks
+            with np.errstate(over="ignore"):
+                data = (data.astype(np.float32) * np.float32(self.info.scl_slope)
+                        + np.float32(self.info.scl_inter))
+        return data
+
+    def _check(self, available: int) -> None:
+        if available < self.nbytes:
+            raise self._truncated(available)
+
+    def _truncated(self, available: int) -> TruncatedFileError:
+        return TruncatedFileError(f"{self._path}: voxel payload is {max(available, 0)} bytes, "
+                                  f"header promises {self.nbytes}")
+
+
 def read_header(path) -> HeaderInfo:
     """Parse the header of a (possibly gzipped) NIfTI-1 single file."""
-    path = Path(path)
-    with open(path, "rb") as raw:
-        return _parse_header(bytes(_open_for_read(raw, path).read(HEADER_SIZE)), path)[0]
+    return open_volume(path).info
 
 
 def read_volume(path, kind: str | None = None) -> Volume:
@@ -283,52 +393,100 @@ def read_volume(path, kind: str | None = None) -> Volume:
     """
     path = Path(path)
     with open(path, "rb") as raw:
-        f = _open_for_read(raw, path)
-        info, _ = _parse_header(bytes(f.read(HEADER_SIZE)), path)
-        dtype = np.dtype(DTYPE_FOR_CODE[info.datatype_code]).newbyteorder(info.byte_order)
-        expected = int(np.prod(info.dims)) * dtype.itemsize
-        if f is raw:
-            # checked before reading, so forged dims cannot ask for a huge buffer
-            _check_payload(os.fstat(raw.fileno()).st_size - info.vox_offset, expected, path)
-            raw.seek(info.vox_offset)
-            payload = _read_exact(raw, expected, path)
-        else:
-            # a .gz payload's length is unknown before reading: it is inflated
-            # in chunks, so forged dims cannot size the buffer either, and the
-            # rest of the stream is inflated too, so that its trailers are checked
-            f.read(info.vox_offset - HEADER_SIZE)
-            payload = f.read(expected)
-            f.finish()
-            _check_payload(len(payload), expected, path)
-
-    data = np.frombuffer(payload, dtype=dtype)
-    if info.byte_order == ">":
-        data = data.astype(dtype.newbyteorder("="))
-    data = data.reshape(info.dims, order="F")
-
-    slope, inter = info.scl_slope, info.scl_inter
-    scaled = slope != 0.0 and np.isfinite(slope) and not (slope == 1.0 and inter == 0.0)
-    if scaled:
-        data = (data.astype(np.float32) * np.float32(slope)) + np.float32(inter)
-
-    if kind is None:
-        kind = "label" if (data.dtype == np.uint8 and not scaled) else "scalar"
-    return Volume(data, info.spacing, info.affine, kind=kind, description=info.description)
+        payload = _Payload(raw, path)
+        buf = np.empty(payload.nbytes, dtype=np.uint8)
+        payload.readinto(buf)
+        payload.finish()
+    info = payload.info
+    return Volume(payload.decode(buf, info.dims), info.spacing, info.affine,
+                  kind=kind or info.kind, description=info.description)
 
 
-def _read_exact(f, size: int, path) -> np.ndarray:
-    """size bytes of f read straight into a new buffer; a file that ends
-    sooner (it shrank after its size was checked) is a TruncatedFileError."""
-    buf = np.empty(size, dtype=np.uint8)
-    _check_payload(f.readinto(buf), size, path)
-    return buf
+@dataclass(frozen=True, eq=False)
+class VolumeFile:
+    """A NIfTI-1 file as a volume whose voxels stay on disk.
+
+    dims, spacing, affine, kind and description are those read_volume would
+    give, from the header that open_volume reads. chunks() reads the voxels,
+    in file order, in chunks of whole z-slices of the file's grid; a pass
+    over them (components.label_components) holds one chunk at a time.
+    canonicalize gives a VolumeFile that keeps the file's voxel order and
+    records, in perm and flips, how the axes of the canonical grid map to
+    the file's, which labeling applies to the foreground keys. foreground,
+    when set, makes the components.Foreground that picks a pass's foreground
+    voxels (default: every nonzero voxel).
+    """
+
+    path: Path
+    header: bytes
+    info: HeaderInfo
+    perm: tuple[int, int, int] = (0, 1, 2)
+    flips: tuple[bool, bool, bool] = (False, False, False)
+    foreground: Callable | None = None
+    dims: tuple[int, int, int] = field(init=False)
+    spacing: tuple[float, float, float] = field(init=False)
+    affine: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        info = self.info
+        geometry = reoriented(info.dims, info.spacing, info.affine, self.perm, self.flips)
+        for name, value in zip(("dims", "spacing", "affine"), geometry):
+            object.__setattr__(self, name, value)
+        self.affine.setflags(write=False)
+
+    @property
+    def kind(self) -> str:
+        return self.info.kind
+
+    @property
+    def description(self) -> str:
+        return self.info.description
+
+    @property
+    def voxel_volume_mm3(self) -> float:
+        sx, sy, sz = self.spacing
+        return sx * sy * sz
+
+    def reoriented(self, perm, flips) -> "VolumeFile":
+        """This file with the axes of its grid permuted and flipped further:
+        axis a becomes axis perm[a], reversed where flips[a]."""
+        return replace(self, perm=tuple(self.perm[p] for p in perm),
+                       flips=tuple(f != self.flips[p] for p, f in zip(perm, flips)))
+
+    def with_data(self, data: np.ndarray, kind: str | None = None,
+                  class_count: int | None = None) -> Volume:
+        """A Volume on this grid holding data."""
+        return Volume(data, self.spacing, self.affine, kind=kind or self.kind,
+                      class_count=class_count, description=self.description)
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The voxels, decoded as read_volume decodes them, in Fortran-ordered
+        chunks of whole z-slices of the file's grid, front to back. Every
+        chunk is a view of one buffer that the next chunk overwrites. The
+        file must still have the header it was opened with."""
+        with open(self.path, "rb") as raw:
+            payload = _Payload(raw, self.path)
+            if payload.header != self.header:
+                raise NiftiFormatError(f"{self.path}: header changed since the file was opened")
+            nx, ny, nz = self.info.dims
+            slab = nx * ny * payload.dtype.itemsize
+            step = max(1, _SCAN_CHUNK // slab)
+            buf = np.empty(min(step, nz) * slab, dtype=np.uint8)
+            for z in range(0, nz, step):
+                depth = min(step, nz - z)
+                view = buf[:depth * slab]
+                payload.readinto(view)
+                yield payload.decode(view, (nx, ny, depth))
+            payload.finish()
 
 
-def _check_payload(available: int, expected: int, path) -> None:
-    if available < expected:
-        raise TruncatedFileError(
-            f"{path}: voxel payload is {max(available, 0)} bytes, header promises {expected}"
-        )
+def open_volume(path) -> VolumeFile:
+    """The header of a (possibly gzipped) NIfTI-1 single file, as a
+    VolumeFile whose voxels are read by the passes that need them."""
+    path = Path(path)
+    with open(path, "rb") as raw:
+        header = bytes(_open_for_read(raw, path).read(HEADER_SIZE))
+    return VolumeFile(path, header, _parse_header(header, path)[0])
 
 
 def _storage_dtype(volume: Volume) -> np.dtype:
@@ -355,6 +513,22 @@ def _storage_dtype(volume: Volume) -> np.dtype:
     raise ValidationError(f"cannot store dtype {data.dtype} in a NIfTI-1 file")
 
 
+def _write_sparse(f, payload: np.ndarray) -> None:
+    """Write the bytes of a contiguous payload at f's position, seeking over
+    its all-zero blocks of _HOLE bytes, so that the empty part of a mask
+    takes neither disk nor page cache; the file ends where the payload does
+    (a hole reads back as zeros)."""
+    data = payload.reshape(-1).view(np.uint8)
+    start, full = f.tell(), len(data) // _HOLE
+    used = np.append(data[:full * _HOLE].reshape(full, _HOLE).any(axis=1),
+                     data[full * _HOLE:].any())
+    edges = np.flatnonzero(np.diff(used, prepend=False, append=False)).tolist()
+    for a, b in zip(edges[::2], edges[1::2]):
+        f.seek(start + a * _HOLE)
+        f.write(data[a * _HOLE:b * _HOLE])
+    f.truncate(start + len(data))
+
+
 def write_volume(volume: Volume, path, compress: bool | None = None) -> None:
     """Write a Volume as a standard-conformant NIfTI-1 single file.
 
@@ -362,7 +536,9 @@ def write_volume(volume: Volume, path, compress: bool | None = None) -> None:
     uint8 while the class ids fit one byte. read_volume(write_volume(v))
     reproduces voxel data bitwise for all supported datatypes. The file is
     written beside path and renamed over it, so path holds either its old
-    file or the whole new one, never a partial write.
+    file or the whole new one, never a partial write. An uncompressed file
+    leaves the all-zero 64 KiB blocks of its payload as holes, so a mostly
+    empty mask costs what its foreground costs to write.
     """
     path = Path(path)
     dims = volume.dims
@@ -409,7 +585,10 @@ def write_volume(volume: Volume, path, compress: bool | None = None) -> None:
                                 mtime=0) if compress else nullcontext(raw)) as f:
                 f.write(hdr.tobytes())
                 f.write(b"\x00\x00\x00\x00")
-                f.write(payload)
+                if compress:
+                    f.write(payload)
+                else:
+                    _write_sparse(f, payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -8,6 +8,7 @@ Volumes are immutable once constructed and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,8 +56,9 @@ class Volume:
             )
         if any(n < 1 for n in data.shape[:3]):
             raise ValidationError(f"all dims must be >= 1, got {data.shape[:3]}")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ValidationError(f"spacing must be 3 positive reals, got {self.spacing}")
+        # negated so that NaN, which fails every comparison, is rejected too
+        if len(self.spacing) != 3 or not all(0 < s < math.inf for s in self.spacing):
+            raise ValidationError(f"spacing must be 3 positive finite reals, got {self.spacing}")
         if affine.shape != (3, 4):
             raise ValidationError(f"affine must be 3x4, got {affine.shape}")
 
@@ -151,44 +153,55 @@ def assert_same_grid(a: Volume, b: Volume) -> None:
         )
 
 
-def is_canonical(volume: Volume) -> bool:
-    """True if each voxel axis already runs along its own positive world axis."""
-    direc = volume.affine[:, :3]
-    dom = np.argmax(np.abs(direc), axis=0)
+def canonical_axes(affine) -> tuple[tuple[int, int, int], tuple[bool, bool, bool]]:
+    """(perm, flips) of the canonical grid: its axis a is grid axis perm[a],
+    reversed where flips[a], so that it runs along +world axis a."""
+    direc = np.asarray(affine)[:, :3]
+    dom = np.argmax(np.abs(direc), axis=0)  # dom[j] = world axis voxel axis j mostly moves
     if sorted(dom.tolist()) != [0, 1, 2]:
         raise ValidationError("affine has no dominant axis permutation; cannot canonicalize")
-    return bool(np.all(dom == np.arange(3)) and all(direc[i, i] > 0 for i in range(3)))
+    perm = tuple(int(np.flatnonzero(dom == w)[0]) for w in range(3))
+    return perm, tuple(bool(direc[a, perm[a]] < 0) for a in range(3))
 
 
-def canonicalize(volume: Volume) -> Volume:
+def reoriented(dims, spacing, affine: np.ndarray, perm, flips):
+    """dims, spacing and affine of a grid with its axes permuted and flipped
+    as canonical_axes gives them. Pure permutation and sign flips: a flipped
+    axis gets its origin at the old far end."""
+    affine = affine.copy()
+    affine[:, :3] = affine[:, list(perm)]
+    dims = tuple(dims[p] for p in perm)
+    for i in range(3):
+        if flips[i]:
+            affine[:, 3] += affine[:, i] * (dims[i] - 1)
+            affine[:, i] = -affine[:, i]
+    return dims, tuple(spacing[p] for p in perm), affine
+
+
+def is_canonical(volume) -> bool:
+    """True if each voxel axis already runs along its own positive world axis."""
+    perm, _ = canonical_axes(volume.affine)
+    return perm == (0, 1, 2) and all(volume.affine[i, i] > 0 for i in range(3))
+
+
+def canonicalize(volume):
     """Reorder/flip grid axes so voxel axes follow +x, +y, +z world axes.
 
     Pure permutation and sign flips, no interpolation. The third grid axis of
     the result runs along world z, so slice k of the result is axial slice k.
+    A grid whose voxels are still on disk (nifti_io.VolumeFile) is reoriented
+    without reading them: it records the permutation and flips, which
+    labeling applies to the foreground keys.
     """
     if is_canonical(volume):
         return volume
-
-    direc = volume.affine[:, :3]
-    dom = np.argmax(np.abs(direc), axis=0)  # dom[j] = world axis voxel axis j mostly moves
-    perm = [int(np.flatnonzero(dom == w)[0]) for w in range(3)]
-
-    affine = volume.affine.copy()
-    affine[:, :3] = affine[:, [perm[0], perm[1], perm[2]]]
-    dims = [volume.dims[p] for p in perm]
-    spacing = tuple(volume.spacing[p] for p in perm)
-
-    axes = perm + [3] if volume.data.ndim == 4 else perm
-    data = np.transpose(volume.data, axes)
-    flip_axes = []
-    for i in range(3):
-        if affine[i, i] < 0:
-            # flipping axis i: new origin sits at the old far end
-            affine[:, 3] += affine[:, i] * (dims[i] - 1)
-            affine[:, i] = -affine[:, i]
-            flip_axes.append(i)
+    perm, flips = canonical_axes(volume.affine)
+    if not isinstance(volume, Volume):
+        return volume.reoriented(perm, flips)
+    _, spacing, affine = reoriented(volume.dims, volume.spacing, volume.affine, perm, flips)
+    data = np.transpose(volume.data, list(perm) + [3] if volume.data.ndim == 4 else list(perm))
+    flip_axes = [i for i in range(3) if flips[i]]
     if flip_axes:
         data = np.flip(data, axis=flip_axes)
-
     return Volume(np.ascontiguousarray(data), spacing, affine, kind=volume.kind,
                   class_count=volume.class_count, description=volume.description)

@@ -3,6 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# CI runs the NIfTI fuzz tests longer: --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 

@@ -170,3 +170,19 @@ def test_kind_mismatch_operations(rng):
     probs = nm.FoldSet((random_prob(rng),), "probability")
     with pytest.raises(nm.ValidationError):
         nm.majority_vote(probs)
+
+
+@pytest.mark.parametrize("layout", ["class-major", "C"])
+def test_argmax_equals_np_argmax_with_ties(rng, layout):
+    # small integer weights make many voxels tie between classes
+    weights = rng.integers(0, 4, (9, 7, 5, 6)).astype(np.float32)
+    weights[..., 0] += weights.sum(axis=3) == 0
+    weights[0, 0, 0] = 1.0  # one voxel where every class ties
+    probs = weights / weights.sum(axis=3, keepdims=True)
+    top = np.sort(probs, axis=3)
+    assert (top[..., -1] == top[..., -2]).sum() > 50
+    stack = np.empty(probs.shape, np.float32, order="F" if layout == "class-major" else "C")
+    stack[...] = probs
+    out = nm.argmax_labels(prob_volume(stack))
+    assert out.data.dtype == np.uint8
+    assert np.array_equal(out.data, np.argmax(stack, axis=3))

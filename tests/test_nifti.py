@@ -1,10 +1,13 @@
 import gzip
-import io
+import os
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nodemetry as nm
 from nodemetry import nifti_io
@@ -114,6 +117,35 @@ def test_write_streams_fortran_grid_without_copy(tmp_path, name):
     assert np.array_equal(nm.read_volume(tmp_path / name).data, data)
 
 
+def _blocks_grid(case):
+    """A (70, 64, 33) int16 grid, 70 * 64 * 2 bytes per slice: not a whole
+    number of 64 KiB blocks, so runs of zero blocks end mid-slice."""
+    data = np.zeros((70, 64, 33), np.int16, order="F")
+    if case == "ends-in-zeros":
+        data[5, 6, 2] = 3
+    elif case == "starts-with-zeros":
+        data[:, :, 30:] = -2
+    elif case == "zero-runs-between":
+        data[:, :, 0] = data[1, 2, 16] = data[69, 63, 32] = 9
+    elif case == "dense":
+        data[...] = 1
+    return data
+
+
+@pytest.mark.parametrize("case", ["empty", "ends-in-zeros", "starts-with-zeros",
+                                  "zero-runs-between", "dense"])
+def test_nii_zero_blocks_written_as_holes_read_back_as_zeros(tmp_path, case):
+    data = _blocks_grid(case)
+    path = tmp_path / "v.nii"
+    nm.write_volume(make_volume(data, kind="scalar"), path)
+    blob = path.read_bytes()
+    assert len(blob) == 352 + data.nbytes
+    assert blob[352:] == data.tobytes(order="F")
+    assert np.array_equal(nm.read_volume(path).data, data)
+    nm.write_volume(make_volume(data, kind="scalar"), tmp_path / "v.nii.gz")
+    assert gzip.decompress((tmp_path / "v.nii.gz").read_bytes()) == blob
+
+
 def test_forged_dims_rejected_before_reading(tmp_path):
     # 32767^3 voxels promised, 12 bytes present: no 35 TB read is attempted
     path = tmp_path / "forged.nii"
@@ -152,12 +184,19 @@ def test_truncated_payload(tmp_path):
     assert "100" in str(exc.value) and "216" in str(exc.value)
 
 
-def test_short_payload_read_is_truncated():
+def test_short_payload_read_is_truncated(tmp_path):
     # a .nii that shrinks after its size was checked: readinto fills fewer bytes
-    with pytest.raises(nm.TruncatedFileError, match="payload is 40 bytes, header promises 64"):
-        nifti_io._read_exact(io.BytesIO(bytes(40)), 64, "v.nii")
-    assert nifti_io._read_exact(io.BytesIO(bytes(range(64))), 64, "v.nii").tobytes() \
-        == bytes(range(64))
+    path = tmp_path / "v.nii"
+    nm.write_volume(make_volume(np.arange(64, dtype=np.uint8).reshape((4, 4, 4), order="F")), path,
+                    compress=False)
+    with open(path, "rb", buffering=0) as raw:
+        payload = nifti_io._Payload(raw, path)
+        buf = np.empty(24, np.uint8)
+        payload.readinto(buf)
+        assert buf.tobytes() == bytes(range(24))
+        os.truncate(path, 352 + 40)
+        with pytest.raises(nm.TruncatedFileError, match="payload is 40 bytes, header promises 64"):
+            payload.readinto(np.empty(40, np.uint8))
 
 
 def test_negative_labels_never_wrap(tmp_path):
@@ -412,3 +451,126 @@ def test_gzip_members_concatenated(tmp_path):
                      + bytes(16))
     assert np.array_equal(nm.read_volume(path).data, GZ_GRID)
     assert nm.read_header(path).dims == GZ_GRID.shape
+
+
+def _mask_8cube(fields=(), slope=0.0) -> bytes:
+    """An 8^3 uint8 mask holding one 3^3 node, with (offset, float) header
+    fields overwritten."""
+    data = np.zeros((8, 8, 8), np.uint8)
+    data[2:5, 2:5, 2:5] = 1
+    blob = bytearray(build_nifti_bytes(dims=(8, 8, 8), slope=slope,
+                                       payload=data.tobytes(order="F")))
+    for offset, value in fields:
+        struct.pack_into("<f", blob, offset, value)
+    return bytes(blob)
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = {
+    # a ValueError traceback from int(nan)
+    "vox_offset-nan": _mask_8cube([(108, NAN)]),
+    # an OverflowError traceback from int(inf)
+    "vox_offset-inf": _mask_8cube([(108, INF)]),
+    # measure exited 0 with volume_mm3=nan, sad_mm=-1.0000, sad_slice_index=-1
+    "pixdim1-nan": _mask_8cube([(80, NAN)]),
+    # eval f f reported "affine differs: nan vs nan", exit 1
+    "srow_x-nan": _mask_8cube([(280, NAN)]),
+    # with the slope applied, every voxel became NaN, hence foreground
+    "scl_inter-nan": _mask_8cube([(116, NAN)], slope=2.0),
+    "scl_inter-inf": _mask_8cube([(116, -INF)], slope=2.0),
+    "quatern_b-inf": _mask_8cube([(256, INF)])[:252] + struct.pack("<2h", 1, 0)
+    + _mask_8cube([(256, INF)])[256:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_header_reals_rejected(tmp_path, capsys, case):
+    path = tmp_path / "m.nii"
+    path.write_bytes(NON_FINITE[case])
+    with pytest.raises(nm.NiftiFormatError):
+        nm.read_volume(path)
+    out = tmp_path / "out"
+    assert main(["cc", "--mask", str(path), "--out-summary", str(out)]) == 2
+    assert main(["measure", "--mask", str(path), "--out", str(out)]) == 2
+    assert main(["eval", "--gt", str(path), "--pred", str(path), "--out-json", str(out)]) == 2
+    assert not out.exists()
+    assert str(path) in capsys.readouterr().err
+
+
+def test_scl_inter_ignored_without_slope(tmp_path):
+    path = tmp_path / "m.nii"
+    path.write_bytes(_mask_8cube([(116, NAN)]))
+    assert nm.read_volume(path).data.sum() == 27
+
+
+# ------------------------------------------------------------------ fuzzing
+
+FLOAT_FIELDS = [76, 80, 84, 88, 108, 112, 116, 256, 260, 264, 268, 272, 276] + \
+    list(range(280, 328, 4))
+INT16_FIELDS = list(range(40, 56, 2)) + [70, 72, 252, 254]
+SPECIAL_FLOATS = [NAN, INF, -INF, 0.0, -1.0, 1e-45, 351.0, 353.0, 1e9, 3.4e38]
+SPECIAL_INTS = [-32768, -1, 0, 1, 2, 3, 4, 7, 8, 16, 64, 255, 32767]
+
+
+def _valid_files():
+    data = (np.arange(60).reshape((3, 4, 5)) % 3).astype(np.uint8)
+    return [
+        build_nifti_bytes(dims=(3, 4, 5), payload=data.tobytes(order="F")),
+        build_nifti_bytes(order=">", dims=(3, 4, 5), datatype=4, bitpix=16, slope=0.5,
+                          inter=-1.0, payload=data.astype(">i2").tobytes(order="F")),
+        build_nifti_bytes(dims=(3, 4, 5), datatype=16, bitpix=32, sform=0, qform=1,
+                          quat=(0.0, 0.0, 0.7071), payload=data.astype("<f4").tobytes()),
+    ]
+
+
+@st.composite
+def mutated_headers(draw):
+    blob = bytearray(draw(st.sampled_from(_valid_files())))
+    order = ">" if blob[:4] == struct.pack(">i", 348) else "<"
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["float", "float", "int16", "byte"]))
+        if kind == "byte":
+            blob[draw(st.integers(0, 351))] = draw(st.integers(0, 255))
+        elif kind == "float":
+            value = draw(st.sampled_from(SPECIAL_FLOATS) if draw(st.booleans())
+                         else st.floats(width=32))
+            struct.pack_into(order + "f", blob, draw(st.sampled_from(FLOAT_FIELDS)), value)
+        else:
+            struct.pack_into(order + "h", blob, draw(st.sampled_from(INT16_FIELDS)),
+                             draw(st.sampled_from(SPECIAL_INTS) | st.integers(-32768, 32767)))
+    drop = draw(st.integers(-8, len(blob)))  # bytes cut from the end; below 0, added
+    return bytes(blob[:len(blob) - max(drop, 0)]) + bytes(max(-drop, 0))
+
+
+def _parses_or_rejects(directory, blob: bytes, gz: bool) -> None:
+    """Every reader either reads blob or raises NiftiFormatError (truncation
+    included); cc exits 0 or 2."""
+    path = directory / ("f.nii.gz" if gz else "f.nii")
+    path.write_bytes(gzip.compress(blob, mtime=0) if gz else blob)
+    try:
+        nifti_io._parse_header(blob, path)
+    except nm.NiftiFormatError:
+        pass
+    try:
+        nm.read_volume(path)
+    except nm.NiftiFormatError:
+        pass
+    with mock.patch.object(nifti_io, "_SCAN_CHUNK", 16):  # many chunks
+        try:
+            nm.label_components(nifti_io.open_volume(path))
+        except nm.NiftiFormatError:
+            pass
+    out = directory / "cc.nii"
+    assert main(["cc", "--mask", str(path), "--out-labels", str(out)]) in (0, 2)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=st.binary(max_size=1200), gz=st.booleans())
+def test_fuzz_arbitrary_bytes(tmp_path, blob, gz):
+    _parses_or_rejects(tmp_path, blob, gz)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=mutated_headers(), gz=st.booleans())
+def test_fuzz_mutated_headers(tmp_path, blob, gz):
+    _parses_or_rejects(tmp_path, blob, gz)

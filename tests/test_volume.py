@@ -149,3 +149,10 @@ def test_canonicalize_slice_convention(rng):
     i, j, k = np.argwhere(canon.data)[0]
     assert (i, j, k) == (1, 2, 3)
     assert np.isclose(nm.world_coords(canon, (i, j, k))[2], 3 * 1.5)
+
+
+@pytest.mark.parametrize("spacing", [(float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0),
+                                     (1.0, 1.0, 0.0)])
+def test_spacing_must_be_positive_and_finite(spacing):
+    with pytest.raises(nm.ValidationError, match="spacing"):
+        nm.Volume(np.zeros((2, 2, 2), np.uint8), spacing, np.eye(3, 4), kind="label")
