@@ -16,7 +16,8 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import ExitStack, suppress
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -27,13 +28,17 @@ from . import ensemble as ens
 from . import fusion, metrics, morphometry, phantom
 from .components import Foreground, filter_components, label_components
 from .errors import NiftiFormatError, NodemetryError, ValidationError
-from .nifti_io import VolumeFile, open_volume, read_volume, write_volume
+from .nifti_io import Payload, VolumeFile, gzip_streams, open_volume, read_volume, write_volume
 from .volume import Volume, assert_same_grid, canonicalize
 
 DEFAULT_LN_CLASS = 2
 SCHEMA_VERSION = 1
 
 PROB_STEM_RE = re.compile(r"(?:fold(\d+)_)?class(\d+)")
+
+# float32 bytes of each class file in one slab of whole z-slices (at least
+# one slice) that `ensemble --prob-dir` holds per fold
+_SLAB_BYTES = 1 << 16
 
 
 def _q4(value):
@@ -133,19 +138,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_files(fn, items):
-    """fn(item) for each of a command's files, on one thread per usable CPU
-    (zlib releases the GIL while it inflates and deflates), yielded in item
-    order. The first error in item order is raised, and the calls not yet
-    started are cancelled."""
-    items = list(items)
-    with ThreadPoolExecutor(max_workers=max(1, min(len(items), _usable_cpus()))) as pool:
-        yield from pool.map(fn, items)
-
-
 def _read_files(paths, kind: str):
-    """The volumes at paths, read on the file threads, yielded in path order."""
-    return _map_files(lambda path: read_volume(path, kind=kind), paths)
+    """The volumes at paths, read on one thread per usable CPU (zlib releases
+    the GIL while it inflates), yielded in path order. The first error in
+    path order is raised, and the reads not yet started are cancelled."""
+    paths = list(paths)
+    with ThreadPoolExecutor(max_workers=max(1, min(len(paths), _usable_cpus()))) as pool:
+        yield from pool.map(lambda path: read_volume(path, kind=kind), paths)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,20 +226,125 @@ def _cmd_ensemble(args) -> int:
         print(f"majority vote over {len(folds)} label folds -> {args.out}")
         return 0
 
-    members = tuple(_read_prob_stack(paths) for paths in _prob_files(args.prob_dir, folds=True))
-    mean = ens.average_probabilities(ens.FoldSet(members, kind="probability"))
-    merged = ens.argmax_labels(mean)
-    class_count = mean.data.shape[3]
-    writes = [(merged, args.out)]
-    if args.out_probs:
-        out_dir = Path(args.out_probs)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # each class slice of the class-major mean is a contiguous grid
-        writes += [(Volume(mean.data[..., c], mean.spacing, mean.affine, kind="scalar"),
-                     out_dir / f"mean_class{c}.nii.gz") for c in range(class_count)]
-    list(_map_files(lambda job: write_volume(*job), writes))
-    print(f"averaged {len(members)} folds x {class_count} classes -> {args.out}")
+    paths = _prob_files(args.prob_dir, folds=True)
+    classes = len(paths[0])
+    with ExitStack() as files:
+        readers = _open_prob_files(paths, files)
+        grid = readers[0][0].info
+        targets, made = [], []
+        if args.out_probs:
+            out_dir = Path(args.out_probs)
+            targets = [out_dir / f"mean_class{c}.nii.gz" for c in range(classes)]
+            made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+            out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            with gzip_streams(targets, grid) as streams:
+                labels = _stream_mean(readers, streams)
+        except BaseException:
+            for d in made:  # deepest first: no directory that this run made is left
+                with suppress(OSError):
+                    d.rmdir()
+            raise
+    # written last, whole, so that its storage dtype follows write_volume's rule
+    write_volume(Volume(labels, grid.spacing, grid.affine, kind="label", class_count=classes),
+                 args.out)
+    print(f"averaged {len(paths)} folds x {classes} classes -> {args.out}")
     return 0
+
+
+def _first_fault(readers, exc: Exception) -> Exception:
+    """exc, unless one of readers, read to its end in file order, raises first."""
+    for reader in readers:
+        reader.drain()
+    return exc
+
+
+def _open_prob_files(paths: list[list[Path]], files: ExitStack) -> list[list[Payload]]:
+    """The class files of every fold, opened with their headers parsed, each
+    on its fold's first file's grid and every fold's first file on fold 0's.
+    The error reported is that of the first bad file in file order: before a
+    file's error is raised, the files before it are read to their ends."""
+    readers, opened = [], []
+    for fold in paths:
+        readers.append([])
+        for c, path in enumerate(fold):
+            try:
+                reader = Payload(files.enter_context(open(path, "rb")), path)
+                # a class file against its fold's first, a fold's first against fold 0's
+                ref = readers[-1][0] if c else (opened[0] if opened else reader)
+                try:
+                    assert_same_grid(ref.info, reader.info)
+                except NodemetryError as exc:
+                    raise type(exc)(f"{fold[0] if c else paths[0][0]} vs {path}: {exc}") from exc
+            except (NodemetryError, OSError) as exc:
+                raise _first_fault(opened, exc) from None
+            readers[-1].append(reader)
+            opened.append(reader)
+    return readers
+
+
+def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
+    """The fold-averaged argmax labels of the class files, read slab by slab
+    of whole z-slices, each class's mean slab written to its stream.
+
+    Each slab goes through the whole-grid functions: one class-major
+    probability Volume per fold (range and class-sum checks),
+    ens.average_probabilities and ens.argmax_labels, so every voxel gets the
+    same arithmetic as in one pass over whole grids. One pool of file threads
+    reads slab s+1 while slab s is averaged and deflated; a stream takes its
+    slabs in order. The error reported is that of the first file in file
+    order that cannot be read to its end, then that of the first bad slab.
+    """
+    grid = readers[0][0].info
+    nx, ny, nz = grid.dims
+    classes = len(readers[0])
+    depth = max(1, _SLAB_BYTES // (nx * ny * np.dtype(np.float32).itemsize))
+    opened = [r for fold in readers for r in fold]
+    labels = None
+    writes = []
+
+    def read(z: int):
+        """Submit the reads of the slab at z: (one class-major stack per fold, futures)."""
+        shape = (nx, ny, min(depth, nz - z), classes)
+        stacks = [np.empty(shape, dtype=np.float32, order="F") for _ in readers]
+        return stacks, [pool.submit(r.decode_into, stacks[k][..., c])
+                        for k, fold in enumerate(readers) for c, r in enumerate(fold)]
+
+    def check(futures) -> None:
+        wait(futures)
+        for j, future in enumerate(futures):
+            if future.exception() is not None:
+                raise _first_fault(opened[:j], future.exception())
+
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+        pending = read(0)
+        for z in range(0, nz, depth):
+            stacks, futures = pending
+            check(futures)
+            if z + depth < nz:
+                pending = read(z + depth)
+            try:
+                members = tuple(Volume(stack, grid.spacing, grid.affine, kind="probability")
+                                for stack in stacks)
+                mean = ens.average_probabilities(ens.FoldSet(members, kind="probability"))
+            except ValidationError as exc:
+                check(pending[1])  # a read error in the next slab comes first
+                raise _first_fault(opened, exc) from None
+            slab = ens.argmax_labels(mean).data
+            if labels is None:
+                labels = np.empty((nx, ny, nz), dtype=slab.dtype, order="F")
+            labels[:, :, z:z + slab.shape[2]] = slab
+            for write in writes:  # a stream holds at most two slabs
+                write.result()
+            # each class slab of the class-major mean is contiguous; its
+            # transpose is the C-ordered buffer of its Fortran-ordered bytes
+            writes = [pool.submit(stream.write, mean.data[..., c].T)
+                      for c, stream in enumerate(streams)]
+        for write in writes:
+            write.result()
+    for reader in opened:
+        reader.finish()
+    return labels
 
 
 def _pair_volumes(args) -> list[tuple[str, Path, Path]]:

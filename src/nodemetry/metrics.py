@@ -120,11 +120,11 @@ def composite_loss(probs: Volume, gt: Volume) -> float:
     if gt.data.size and int(gt.data.max()) >= n_classes:
         raise ValidationError("gt label outside the probability class range")
 
-    p_all = np.asarray(probs.data, dtype=np.float64)
-    _check_probabilities(p_all)
+    _check_probabilities(probs.data)
     total = 0.0
     for c in range(n_classes):
-        p = p_all[..., c]
+        # one class grid at a time in float64: the stack stays in its own precision
+        p = probs.data[..., c].astype(np.float64)
         g = (gt.data == c).astype(np.float64)
         total += _bce_arrays(p, g) + (1.0 - _soft_dice_arrays(p, g))
     return total / n_classes

@@ -8,13 +8,16 @@ they are float32-representable.
 
 Supported datatype codes: 2 (uint8), 4 (int16), 8 (int32), 16 (float32).
 
-A .nii.gz is inflated by zlib in bounded chunks to the end of the stream, so
+A .nii.gz is inflated by zlib in bounded pieces to the end of the stream, so
 every gzip trailer is checked and a broken stream never yields voxels.
 
 read_volume reads a whole grid. open_volume reads only the header and gives
 a VolumeFile, whose voxels a pass reads in fixed-size chunks of whole
 z-slices into one reused buffer, so labeling a mask never holds its grid.
-Both go through one payload reader, with the same checks.
+Both go through one payload reader (Payload), with the same checks; a
+command that streams many files at once holds one Payload per file.
+write_volume writes a whole grid; gzip_streams writes .nii.gz volumes slab
+by slab, with the same header and the same gzip settings.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import gzip
 import math
 import os
 import zlib
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator
@@ -42,7 +45,7 @@ HEADER_SIZE = 348
 MIN_VOX_OFFSET = 352  # 348-byte header + 4-byte extension flag
 MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
-_READ_CHUNK = 1 << 20  # bytes per read of a gzip payload
+_GZIP_PIECE = 1 << 15  # compressed bytes per read, and inflated bytes per call, of a gzip file
 _SCAN_CHUNK = 1 << 21  # payload bytes per chunk of whole z-slices in a pass
 _MAX_INFLATE_RATIO = 1032  # deflate's largest ratio of output to input bytes
 _HOLE = 1 << 16  # bytes per all-zero block that a .nii write leaves as a hole
@@ -233,12 +236,13 @@ def _parse_header(raw: bytes, path) -> tuple[HeaderInfo, np.void]:
 class _GzipReader:
     """The inflated bytes of a gzip file, read like a file.
 
-    Compressed input is fed in _READ_CHUNK pieces and no inflate call returns
-    more than one chunk, so output is sized by what is asked for, never by the
-    stream. Members follow one another as in the gzip format (zero padding
-    between them is skipped), and zlib checks each member's CRC32 and length
-    trailer as it ends: a corrupt stream is a NiftiFormatError, one that ends
-    early a TruncatedFileError.
+    Compressed input is read in _GZIP_PIECE pieces and no inflate call
+    returns more than one piece, so what a reader holds is bounded by the
+    piece (many readers can be open at once), and output is sized by what is
+    asked for, never by the stream. Members follow one another as in the gzip
+    format (zero padding between them is skipped), and zlib checks each
+    member's CRC32 and length trailer as it ends: a corrupt stream is a
+    NiftiFormatError, one that ends early a TruncatedFileError.
     """
 
     def __init__(self, f, path):
@@ -263,12 +267,12 @@ class _GzipReader:
 
     def skip(self, size: int) -> int:
         """Inflate and drop up to size bytes; the count, short only where the
-        stream ends. Memory stays at one chunk, whatever size claims."""
+        stream ends. Memory stays at one piece, whatever size claims."""
         return sum(len(piece) for piece in self._pieces(size))
 
     def _pieces(self, size: int):
         done = 0
-        while done < size and (piece := self._inflate(min(_READ_CHUNK, size - done))):
+        while done < size and (piece := self._inflate(min(_GZIP_PIECE, size - done))):
             done += len(piece)
             yield piece
 
@@ -282,7 +286,7 @@ class _GzipReader:
         """Next 1..limit inflated bytes, or None at the end of the stream."""
         while True:
             if not self._pending:
-                self._pending = self._f.read(_READ_CHUNK)
+                self._pending = self._f.read(_GZIP_PIECE)
                 if not self._pending:
                     if self._inflater.eof:
                         return None
@@ -311,7 +315,7 @@ def _open_for_read(f, path):
     return _GzipReader(f, path) if head == b"\x1f\x8b" else f
 
 
-class _Payload:
+class Payload:
     """The voxel payload of an open NIfTI-1 file, read front to back into
     the caller's buffers: a whole grid and a reused chunk buffer are filled
     by the same code, with the same checks.
@@ -322,9 +326,9 @@ class _Payload:
     payload. A .gz payload's length is unknown before reading; deflate's
     largest ratio times the compressed size bounds it, and past that bound
     the stream is inflated through, in chunks, to count what it holds.
-    readinto fills a whole buffer or raises TruncatedFileError. finish, after
-    the last read, inflates a .nii.gz to the end of its stream, so that every
-    trailer is checked.
+    readinto fills a whole buffer or raises TruncatedFileError, and decode_into
+    fills a grid with decoded voxels. finish, after the last read, inflates a
+    .nii.gz to the end of its stream, so that every trailer is checked.
     """
 
     def __init__(self, raw, path):
@@ -351,9 +355,31 @@ class _Payload:
         if got < len(buf):  # the file ended early, or shrank after its size was checked
             raise self._truncated(self._done)
 
+    def decode_into(self, out: np.ndarray) -> None:
+        """Fill out, a Fortran-contiguous grid of whole z-slices, with the
+        next out.size voxels, decoded as read_volume decodes them and cast to
+        out's dtype; straight into out when the file stores that dtype,
+        unscaled, in native byte order."""
+        if out.dtype == self.dtype and not self.info.scaled:
+            self.readinto(out.reshape(-1, order="F").view(np.uint8))
+        else:
+            buf = np.empty(out.size * self.dtype.itemsize, dtype=np.uint8)
+            self.readinto(buf)
+            out[...] = self.decode(buf, out.shape)
+
     def finish(self) -> None:
         if self._f is not self._raw:
             self._f.finish()
+
+    def drain(self) -> None:
+        """Read past the rest of the payload and finish: raises what reading
+        it to the end would. A .nii's size was checked when it was opened."""
+        if self._f is not self._raw:
+            rest = self.nbytes - self._done
+            self._done += self._f.skip(rest)
+            if self._done < self.nbytes:
+                raise self._truncated(self._done)
+        self.finish()
 
     def decode(self, buf: np.ndarray, shape) -> np.ndarray:
         """The voxels in buf as a Fortran-ordered grid of the given shape, in
@@ -393,7 +419,7 @@ def read_volume(path, kind: str | None = None) -> Volume:
     """
     path = Path(path)
     with open(path, "rb") as raw:
-        payload = _Payload(raw, path)
+        payload = Payload(raw, path)
         buf = np.empty(payload.nbytes, dtype=np.uint8)
         payload.readinto(buf)
         payload.finish()
@@ -465,7 +491,7 @@ class VolumeFile:
         chunk is a view of one buffer that the next chunk overwrites. The
         file must still have the header it was opened with."""
         with open(self.path, "rb") as raw:
-            payload = _Payload(raw, self.path)
+            payload = Payload(raw, self.path)
             if payload.header != self.header:
                 raise NiftiFormatError(f"{self.path}: header changed since the file was opened")
             nx, ny, nz = self.info.dims
@@ -529,6 +555,54 @@ def _write_sparse(f, payload: np.ndarray) -> None:
     f.truncate(start + len(data))
 
 
+def _header_bytes(dims, spacing, affine, dtype: np.dtype, kind: str,
+                  description: str) -> bytes:
+    """The header and the empty extension flag that precede a payload of
+    dtype on the grid given by dims, spacing and affine."""
+    hdr = np.zeros((), dtype=_HDR_LE)
+    hdr["sizeof_hdr"] = HEADER_SIZE
+    hdr["regular"] = b"r"
+    hdr["dim"] = [3, dims[0], dims[1], dims[2], 1, 1, 1, 1]
+    hdr["datatype"] = CODE_FOR_DTYPE[dtype]
+    hdr["bitpix"] = 8 * dtype.itemsize
+    hdr["pixdim"] = [1.0, spacing[0], spacing[1], spacing[2], 0, 0, 0, 0]
+    hdr["vox_offset"] = MIN_VOX_OFFSET
+    if kind == "label":
+        hdr["scl_slope"] = 0.0  # labels are never intensity-scaled
+    else:
+        hdr["scl_slope"] = 1.0
+    hdr["scl_inter"] = 0.0
+    hdr["xyzt_units"] = 2  # NIFTI_UNITS_MM
+    hdr["descrip"] = description.encode("utf-8", "replace")[:80]
+    hdr["sform_code"] = 1
+    hdr["qform_code"] = 0
+    hdr["srow_x"] = affine[0]
+    hdr["srow_y"] = affine[1]
+    hdr["srow_z"] = affine[2]
+    hdr["magic"] = MAGIC_SINGLE
+    return hdr.tobytes() + b"\x00\x00\x00\x00"
+
+
+@contextmanager
+def _replacing(path: Path):
+    """A new file beside path, open for writing; renamed over path when the
+    block ends without error, removed when it raises."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as raw:
+            yield raw
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _gzip_writer(raw, path: Path) -> gzip.GzipFile:
+    # the gzip header names the target, not the temp file; a fixed mtime
+    # keeps output byte-identical across runs
+    return gzip.GzipFile(filename=str(path), fileobj=raw, mode="wb", compresslevel=1, mtime=0)
+
+
 def write_volume(volume: Volume, path, compress: bool | None = None) -> None:
     """Write a Volume as a standard-conformant NIfTI-1 single file.
 
@@ -549,47 +623,38 @@ def write_volume(volume: Volume, path, compress: bool | None = None) -> None:
     data = np.asarray(volume.data)
     if data.dtype != dtype:
         data = data.astype(dtype)
-
-    hdr = np.zeros((), dtype=_HDR_LE)
-    hdr["sizeof_hdr"] = HEADER_SIZE
-    hdr["regular"] = b"r"
-    hdr["dim"] = [3, dims[0], dims[1], dims[2], 1, 1, 1, 1]
-    hdr["datatype"] = CODE_FOR_DTYPE[dtype]
-    hdr["bitpix"] = 8 * dtype.itemsize
-    hdr["pixdim"] = [1.0, volume.spacing[0], volume.spacing[1], volume.spacing[2], 0, 0, 0, 0]
-    hdr["vox_offset"] = MIN_VOX_OFFSET
-    if volume.kind == "label":
-        hdr["scl_slope"] = 0.0  # labels are never intensity-scaled
-    else:
-        hdr["scl_slope"] = 1.0
-    hdr["scl_inter"] = 0.0
-    hdr["xyzt_units"] = 2  # NIFTI_UNITS_MM
-    hdr["descrip"] = volume.description.encode("utf-8", "replace")[:80]
-    hdr["sform_code"] = 1
-    hdr["qform_code"] = 0
-    hdr["srow_x"] = volume.affine[0]
-    hdr["srow_y"] = volume.affine[1]
-    hdr["srow_z"] = volume.affine[2]
-    hdr["magic"] = MAGIC_SINGLE
+    header = _header_bytes(dims, volume.spacing, volume.affine, dtype, volume.kind,
+                           volume.description)
 
     if compress is None:
         compress = path.suffix == ".gz"
     # the voxels in Fortran order, without a copy when data already is
     payload = np.asfortranarray(data).T
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as raw:
-            # the gzip header names the target, not the temp file; a fixed
-            # mtime keeps output byte-identical across runs
-            with (gzip.GzipFile(filename=str(path), fileobj=raw, mode="wb", compresslevel=1,
-                                mtime=0) if compress else nullcontext(raw)) as f:
-                f.write(hdr.tobytes())
-                f.write(b"\x00\x00\x00\x00")
-                if compress:
-                    f.write(payload)
-                else:
-                    _write_sparse(f, payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(path) as raw:
+        if compress:
+            with _gzip_writer(raw, path) as f:
+                f.write(header)
+                f.write(payload)
+        else:
+            raw.write(header)
+            _write_sparse(raw, payload)
+
+
+@contextmanager
+def gzip_streams(paths, grid) -> Iterator[list[gzip.GzipFile]]:
+    """One .nii.gz stream per path for a float32 scalar volume on grid
+    (anything with dims, spacing and affine), each with its header written,
+    as write_volume would write it. The caller writes each payload in
+    Fortran order, a C-contiguous piece of whole z-slices at a time (the
+    transpose of a Fortran-ordered slab); gzip's output does not depend on
+    how the payload is cut. Every path is replaced only when the block ends
+    without error, after every stream has been closed; on any error every
+    temp file is removed and every path keeps its old file."""
+    header = _header_bytes(grid.dims, grid.spacing, grid.affine, np.dtype(np.float32), "scalar",
+                           "")
+    with ExitStack() as files:
+        raws = [files.enter_context(_replacing(Path(p))) for p in paths]
+        streams = [files.enter_context(_gzip_writer(raw, Path(p))) for raw, p in zip(raws, paths)]
+        for stream in streams:
+            stream.write(header)
+        yield streams

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ import nodemetry as nm
 from nodemetry import cli, metrics
 from nodemetry import ensemble as ens
 from nodemetry.cli import main
-from conftest import make_volume
+from conftest import child_rss_kb, make_volume
 
 
 def write_mask(path, arr, spacing=(1.0, 1.0, 1.0)):
@@ -492,14 +494,21 @@ CPU_SETUPS = {
 
 @pytest.mark.parametrize("cpus", sorted(CPU_SETUPS))
 def test_ensemble_outputs_match_stacked_sequence(tmp_path, monkeypatch, cpus):
-    # the files of the class-major stack, read and written on the file
-    # threads, against the class-last np.stack sequence, byte for byte
+    # the files of the slab-streamed means, read and written on the file
+    # threads, against the whole-grid class-last np.stack sequence, byte for
+    # byte: with the default slab (one here), slabs of one slice, and slabs
+    # of two slices, which do not divide the 5 slices
     CPU_SETUPS[cpus](monkeypatch)
     prob_dir = tmp_path / "probs"
     write_fold_probs(prob_dir, folds=3, classes=4)
-    out = tmp_path / "out"; out.mkdir()
-    assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(out / "merged.nii.gz"),
-                 "--out-probs", str(out)]) == 0
+    outs = []
+    for slices in (None, 1, 2):
+        if slices is not None:
+            monkeypatch.setattr(cli, "_SLAB_BYTES", slices * 9 * 7 * 4)
+        out = tmp_path / f"out{slices}"; out.mkdir()
+        assert main(["ensemble", "--prob-dir", str(prob_dir),
+                     "--out", str(out / "merged.nii.gz"), "--out-probs", str(out)]) == 0
+        outs.append(out)
 
     members = []
     for k in range(3):
@@ -514,9 +523,10 @@ def test_ensemble_outputs_match_stacked_sequence(tmp_path, monkeypatch, cpus):
         nm.write_volume(make_volume(np.ascontiguousarray(mean.data[..., c]), kind="scalar"),
                         ref / f"mean_class{c}.nii.gz")
     names = sorted(p.name for p in ref.iterdir())
-    assert sorted(p.name for p in out.iterdir()) == names
-    for name in names:
-        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    for out in outs:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), (out, name)
 
 
 def test_every_file_command_on_one_cpu(tmp_path, monkeypatch):
@@ -608,6 +618,158 @@ def test_first_bad_class_file_in_file_order_is_reported(tmp_path, capsys, comman
     assert named == ([f"{prefix}class0.nii.gz"] if code == 1 else []) + \
         [f"{prefix}class{first_bad}.nii.gz"]
     assert not out.exists()
+
+
+def test_streamed_ensemble_under_thread_stress(tmp_path, monkeypatch):
+    # 8 file threads on a short switch interval, one-slice slabs: a stream
+    # written by two threads at once, or a slab read before the last one
+    # finished, would change the bytes
+    prob_dir = tmp_path / "probs"
+    write_fold_probs(prob_dir, folds=4, classes=6, shape=(6, 5, 12))
+
+    def run(out):
+        out.mkdir()
+        assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(out / "merged.nii.gz"),
+                     "--out-probs", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    ref = run(tmp_path / "ref")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(cli, "_SLAB_BYTES", 6 * 5 * 4)
+    overlaps = []
+
+    class OneWriter:
+        """A stream that records a write entered while another is running."""
+
+        def __init__(self, stream):
+            self._stream, self._busy = stream, False
+
+        def write(self, data):
+            overlaps.append(self._busy)
+            self._busy = True
+            time.sleep(0.001)
+            self._stream.write(data)
+            self._busy = False
+
+    streams = cli.gzip_streams
+
+    @contextmanager
+    def watched(paths, grid):
+        with streams(paths, grid) as opened:
+            yield [OneWriter(stream) for stream in opened]
+
+    monkeypatch.setattr(cli, "gzip_streams", watched)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(3):
+            assert run(tmp_path / f"run{k}") == ref
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(overlaps) == 3 * 6 * 12 and not any(overlaps)
+
+
+def _truncate(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[:len(blob) // 2])
+
+
+def _overlong(path):
+    # a second gzip member after the payload: found only past the last slab
+    path.write_bytes(path.read_bytes() + gzip.compress(b"\x01"))
+
+
+def _break_sums(path):
+    # slice 2 of this class grid gains 0.5: its voxels' class sums are off
+    data = np.array(nm.read_volume(path).data)
+    data[:, :, 2] += 0.5
+    nm.write_volume(make_volume(np.clip(data, 0, 1), kind="scalar"), path)
+
+
+@pytest.mark.parametrize("faults, code, named", [
+    ({"fold2_class3": _truncate}, 2, "fold2_class3"),
+    ({"fold2_class3": _break_crc}, 2, "fold2_class3"),
+    ({"fold1_class2": _break_sums}, 1, "class sums"),
+    ({"fold0_class1": _break_sums, "fold2_class3": _break_crc}, 2, "fold2_class3"),
+    ({"fold2_class3": _overlong}, 2, "fold2_class3"),
+    ({"fold0_class1": _break_crc, "fold2_class3": _truncate}, 2, "fold0_class1"),
+], ids=["truncated-last", "crc-last", "bad-sums", "bad-sums-then-crc", "over-long-last",
+        "crc-then-truncated"])
+@pytest.mark.parametrize("cpus", ["one-cpu", "four-cpus"])
+def test_failed_stream_leaves_outputs_as_they_were(tmp_path, monkeypatch, capsys, cpus, faults,
+                                                   code, named):
+    # the last file ends mid-stream, or its CRC (checked once it is read to
+    # its end) is bad, or slab 2 holds bad sums: exit 2, 2 or 1, after some
+    # mean slabs were written; --out and --out-probs hold what they held,
+    # with no temp file. A file that cannot be read to its end is reported
+    # before bad values in any file.
+    CPU_SETUPS[cpus](monkeypatch)
+    monkeypatch.setattr(cli, "_SLAB_BYTES", 9 * 7 * 4)  # one slice per slab
+    prob_dir = tmp_path / "probs"
+    write_fold_probs(prob_dir, folds=3, classes=4)
+    for stem, breaker in faults.items():
+        breaker(prob_dir / f"{stem}.nii.gz")
+    out = tmp_path / "out"; out.mkdir()
+    (out / "merged.nii.gz").write_bytes(b"old labels")
+    (out / "mean_class0.nii.gz").write_bytes(b"old mean")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    new_dir = tmp_path / "new" / "probs"
+    for out_probs in (out, new_dir):
+        assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(out / "merged.nii.gz"),
+                     "--out-probs", str(out_probs)]) == code
+        assert named in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "probs"]
+
+
+@pytest.mark.parametrize("fold, cls", [(0, 0), (0, 3), (1, 0), (2, 2)])
+def test_grid_mismatch_in_any_fold_exits_1_before_any_output(tmp_path, monkeypatch, capsys,
+                                                              fold, cls):
+    prob_dir = tmp_path / "probs"
+    write_fold_probs(prob_dir, folds=3, classes=4)
+    _break_grid(prob_dir / f"fold{fold}_class{cls}.nii.gz")
+
+    def no_output(*args):
+        raise AssertionError("an output was opened")
+
+    monkeypatch.setattr(cli, "gzip_streams", no_output)
+    monkeypatch.setattr(cli, "write_volume", no_output)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(out / "merged.nii.gz"),
+                 "--out-probs", str(out)]) == 1
+    # a class file is checked against its fold's first, a fold's first against fold 0's
+    first = (fold, 1) if (fold, cls) == (0, 0) else (fold, cls)
+    ref = f"fold{fold}_class0.nii.gz" if first[1] else "fold0_class0.nii.gz"
+    err = capsys.readouterr().err
+    assert f"{ref} vs {prob_dir}/fold{first[0]}_class{first[1]}.nii.gz: dims differ" in err
+    assert not out.exists()
+
+
+def test_ensemble_child_holds_no_fold_stack(tmp_path):
+    # 5 folds x 30 classes on 96x96x80: the whole-grid ensemble held five
+    # fold stacks (88 MB each) and a float64 mean; streamed, a child holds one
+    # slab per file, well below one fold's stack on top of its imports
+    shape, classes = (96, 96, 80), 30
+    prob_dir = tmp_path / "probs"; prob_dir.mkdir()
+    z = np.arange(shape[2])
+    for k in range(5):
+        # compressible, as softmax outputs are: one class per block of
+        # slices, the others sharing what is left, shifted per fold
+        top = (z // 8 + k) % classes
+        for c in range(classes):
+            column = np.where(top == c, np.float32(0.71), np.float32(0.01))
+            grid = np.broadcast_to(column, shape).astype(np.float32, order="F")
+            nm.write_volume(make_volume(grid, kind="scalar"), prob_dir / f"fold{k}_class{c}.nii.gz")
+    base = child_rss_kb(["-c", "import nodemetry.cli"], tmp_path)
+    peak = child_rss_kb(["-m", "nodemetry.cli", "ensemble", "--prob-dir", "probs",
+                         "--out", "merged.nii.gz", "--out-probs", "mean"], tmp_path)
+    merged = nm.read_volume(tmp_path / "merged.nii.gz").data
+    # the fold with the lowest top class wins a tie of equal means
+    expect = np.min([(z // 8 + k) % classes for k in range(5)], axis=0)
+    assert np.array_equal(merged, np.broadcast_to(expect, shape))
+    assert len(list((tmp_path / "mean").iterdir())) == classes
+    fold_stack_kb = np.prod(shape) * classes * 4 / 1024
+    assert peak < base + fold_stack_kb, (peak, base)
 
 
 def test_file_error_cancels_reads_not_started(tmp_path, monkeypatch):

@@ -4,11 +4,7 @@ codes on bad files, and no whole grid in memory."""
 
 import gzip
 import json
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +15,7 @@ from hypothesis import strategies as st
 import nodemetry as nm
 from nodemetry import cli, metrics, morphometry, nifti_io
 from nodemetry.cli import main
+from conftest import child_rss_kb
 from test_nifti import build_nifti_bytes
 
 SHAPE = (11, 9, 13)
@@ -282,23 +279,6 @@ def test_bad_gzip_exits_2_without_output(tmp_path, capsys, command, broken, faul
     assert str(path) in capsys.readouterr().err
 
 
-# measured in a small launcher, so that the child's max RSS does not start
-# from this process's (a forked child's peak includes its parent's pages)
-_MAX_RSS = """import os, subprocess, sys
-child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(child.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
-def _child_rss_kb(args, cwd):
-    env = dict(os.environ, PYTHONPATH=str(Path(nm.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", _MAX_RSS, sys.executable, *args], cwd=cwd,
-                         env=env, capture_output=True, text=True, check=True).stdout.split()
-    assert out[0] == "0"
-    return int(out[1])
-
-
 def test_cc_and_eval_hold_no_whole_grid(tmp_path):
     # what a child holds beyond its imports is its foreground's keys (a few
     # tens of bytes per voxel), a chunk buffer and the labeled pages of
@@ -313,10 +293,10 @@ def test_cc_and_eval_hold_no_whole_grid(tmp_path):
     _write(tmp_path / "pred.nii", pred)
     del gt, pred
     half_grid_kb = np.prod(shape) / 2 / 1024
-    base = _child_rss_kb(["-c", "import nodemetry.cli"], tmp_path)
-    cc = _child_rss_kb(["-m", "nodemetry.cli", "cc", "--mask", "gt.nii",
+    base = child_rss_kb(["-c", "import nodemetry.cli"], tmp_path)
+    cc = child_rss_kb(["-m", "nodemetry.cli", "cc", "--mask", "gt.nii",
                         "--out-labels", "cc.nii", "--out-summary", "cc.json"], tmp_path)
-    ev = _child_rss_kb(["-m", "nodemetry.cli", "eval", "--gt", "gt.nii", "--pred", "pred.nii",
+    ev = child_rss_kb(["-m", "nodemetry.cli", "eval", "--gt", "gt.nii", "--pred", "pred.nii",
                         "--out-json", "e.json"], tmp_path)
     assert json.loads((tmp_path / "cc.json").read_text())["count"] == 4
     assert json.loads((tmp_path / "e.json").read_text())["patients"][0]["gt_node_count"] == 4

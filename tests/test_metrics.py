@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nodemetry as nm
-from nodemetry.metrics import _bce_arrays, _check_probabilities, _pair_overlaps
+from nodemetry.metrics import (_bce_arrays, _check_probabilities, _pair_overlaps,
+                               _soft_dice_arrays)
 from conftest import make_volume
 from oracles import naive_composite_loss, naive_dice, naive_evaluate
 
@@ -144,6 +145,24 @@ def test_loss_matches_naive_oracle(seed):
     ref = naive_composite_loss(probs_arr, labels)
     assert mine == pytest.approx(ref, abs=1e-6)
     assert mine >= 0.0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_loss_of_float32_stack_equals_whole_stack_float64(order):
+    # one class grid at a time in float64 gives the bits of the whole stack
+    # upcast once, so loss.json stays byte-identical
+    rng = np.random.default_rng(11)
+    raw = rng.random((9, 7, 5, 6))
+    probs_arr = np.asarray(raw / raw.sum(axis=3, keepdims=True), np.float32, order=order)
+    labels = rng.integers(0, 6, (9, 7, 5)).astype(np.uint8)
+    gt = make_volume(labels, kind="label", class_count=6)
+    whole = probs_arr.astype(np.float64)
+    ref = 0.0
+    for c in range(6):
+        g = (labels == c).astype(np.float64)
+        ref += _bce_arrays(whole[..., c], g) + (1.0 - _soft_dice_arrays(whole[..., c], g))
+    ref /= 6
+    assert nm.composite_loss(make_volume(probs_arr, kind="probability"), gt) == ref
 
 
 def test_loss_class_count_mismatch():

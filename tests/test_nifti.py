@@ -190,7 +190,7 @@ def test_short_payload_read_is_truncated(tmp_path):
     nm.write_volume(make_volume(np.arange(64, dtype=np.uint8).reshape((4, 4, 4), order="F")), path,
                     compress=False)
     with open(path, "rb", buffering=0) as raw:
-        payload = nifti_io._Payload(raw, path)
+        payload = nifti_io.Payload(raw, path)
         buf = np.empty(24, np.uint8)
         payload.readinto(buf)
         assert buf.tobytes() == bytes(range(24))
@@ -451,6 +451,97 @@ def test_gzip_members_concatenated(tmp_path):
                      + bytes(16))
     assert np.array_equal(nm.read_volume(path).data, GZ_GRID)
     assert nm.read_header(path).dims == GZ_GRID.shape
+
+
+class _ReadSpy:
+    """A raw file that records the size of every read."""
+
+    def __init__(self, f):
+        self._f, self.sizes = f, []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return self._f.read(size)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+@pytest.mark.parametrize("piece", [1, 7, 4096])
+def test_gzip_reader_holds_one_piece(tmp_path, monkeypatch, piece):
+    # compressed bytes are read, and inflated bytes returned, a piece at a
+    # time: what a reader holds is bounded by the piece, whatever the file
+    path, _ = _gz_volume(tmp_path)
+    monkeypatch.setattr(nifti_io, "_GZIP_PIECE", piece)
+    with open(path, "rb") as f:
+        spy = _ReadSpy(f)
+        payload = nifti_io.Payload(spy, path)
+        out = np.empty(GZ_GRID.shape, np.float32, order="F")
+        payload.decode_into(out)
+        payload.finish()
+    assert np.array_equal(out, GZ_GRID)
+    assert spy.sizes[0] == 2 and max(spy.sizes[1:]) == piece  # the magic, then pieces
+    assert np.array_equal(nm.read_volume(path).data, GZ_GRID)
+
+
+READ_INTO_CASES = {
+    "float32": ("<", 16, 32, 0.0, "<f4"),
+    "big-endian-float32": (">", 16, 32, 0.0, ">f4"),
+    "scaled-int16": ("<", 4, 16, 0.5, "<i2"),
+    "uint8": ("<", 2, 8, 0.0, "u1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_INTO_CASES))
+@pytest.mark.parametrize("gz", [False, True])
+def test_decode_into_slabs_equals_read_volume(tmp_path, case, gz):
+    # slab by slab into float32 grids, as ensemble reads its class files:
+    # the values of read_volume, cast to float32
+    order, code, bitpix, slope, dtype = READ_INTO_CASES[case]
+    dims = (4, 3, 5)
+    values = (np.arange(60) % 23).astype(dtype).reshape(dims, order="F")
+    blob = build_nifti_bytes(order=order, dims=dims, datatype=code, bitpix=bitpix, slope=slope,
+                             inter=1.0 if slope else 0.0, payload=values.tobytes(order="F"))
+    path = tmp_path / ("v.nii.gz" if gz else "v.nii")
+    path.write_bytes(gzip.compress(blob) if gz else blob)
+    want = np.asarray(nm.read_volume(path).data, np.float32)
+    with open(path, "rb") as raw:
+        payload = nifti_io.Payload(raw, path)
+        for z in range(0, 5, 2):
+            out = np.empty((4, 3, min(2, 5 - z)), np.float32, order="F")
+            payload.decode_into(out)
+            assert np.array_equal(out, want[:, :, z:z + 2])
+        payload.finish()
+
+
+@pytest.mark.parametrize("slices", [1, 2, 3, 7])
+def test_gzip_streams_write_what_write_volume_writes(tmp_path, rng, slices):
+    # the same bytes however the payload is cut into slabs of whole z-slices
+    data = np.asfortranarray(rng.random((6, 5, 7)).astype(np.float32))
+    vol = make_volume(data, (0.5, 0.7, 2.0), kind="scalar")
+    nm.write_volume(vol, tmp_path / "v.nii.gz")  # the gzip header names the file
+    paths = [tmp_path / d / "v.nii.gz" for d in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir()
+    with nifti_io.gzip_streams(paths, vol) as streams:
+        for z in range(0, 7, slices):
+            for stream in streams:
+                stream.write(data[:, :, z:z + slices].T)
+        assert not any(p.exists() for p in paths)  # renamed only when every stream is done
+    for path in paths:
+        assert path.read_bytes() == (tmp_path / "v.nii.gz").read_bytes()
+        assert [p.name for p in path.parent.iterdir()] == ["v.nii.gz"]
+
+
+def test_gzip_streams_error_keeps_old_files(tmp_path):
+    vol = make_volume(np.zeros((3, 3, 3), np.float32), kind="scalar")
+    paths = [tmp_path / "a.nii.gz", tmp_path / "b.nii.gz"]
+    paths[0].write_bytes(b"old")
+    with pytest.raises(RuntimeError), nifti_io.gzip_streams(paths, vol) as streams:
+        streams[0].write(np.zeros(27, np.float32))
+        raise RuntimeError
+    assert [p.name for p in tmp_path.iterdir()] == ["a.nii.gz"]
+    assert paths[0].read_bytes() == b"old"
 
 
 def _mask_8cube(fields=(), slope=0.0) -> bytes:
