@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, suppress
 from dataclasses import replace
 from functools import partial
@@ -28,7 +28,8 @@ from . import ensemble as ens
 from . import fusion, metrics, morphometry, phantom
 from .components import Foreground, filter_components, label_components
 from .errors import NiftiFormatError, NodemetryError, ValidationError
-from .nifti_io import Payload, VolumeFile, gzip_streams, open_volume, read_volume, write_volume
+from .nifti_io import (Payload, VolumeFile, _replacing, open_volume, read_volume, volume_streams,
+                       write_volume)
 from .volume import Volume, assert_same_grid, canonicalize
 
 DEFAULT_LN_CLASS = 2
@@ -52,9 +53,14 @@ def _q4(value):
     return value
 
 
+def _write_text(text: str, path) -> None:
+    """Write a report as NIfTI files are written: path keeps its old file on error."""
+    with _replacing(Path(path)) as f:
+        f.write(text.encode("utf-8"))
+
+
 def _write_json(payload: dict, path) -> None:
-    text = json.dumps(_q4(payload), indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    _write_text(json.dumps(_q4(payload), indent=2) + "\n", path)
 
 
 def _config(args, hide=(), **resolved) -> dict:
@@ -107,6 +113,9 @@ def _prob_files(directory, folds: bool) -> list[list[Path]]:
     pattern = "fold{K}_class{C}" if folds else "class{C}"
     if not found:
         raise ValidationError(f"no {pattern}.nii[.gz] files in {directory}")
+    missing = sorted(set(range(max(found))) - found.keys())
+    if missing:
+        raise ValidationError(f"folds must be 0..K-1, but no fold {missing[0]} in {directory}")
     count = len(next(iter(found.values())))
     for fold, classes in found.items():
         if sorted(classes) != list(range(count)):
@@ -138,13 +147,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _read_files(paths, kind: str):
-    """The volumes at paths, read on one thread per usable CPU (zlib releases
-    the GIL while it inflates), yielded in path order. The first error in
-    path order is raised, and the reads not yet started are cancelled."""
-    paths = list(paths)
-    with ThreadPoolExecutor(max_workers=max(1, min(len(paths), _usable_cpus()))) as pool:
-        yield from pool.map(lambda path: read_volume(path, kind=kind), paths)
+def _file_pool(files: int) -> ThreadPoolExecutor:
+    """A thread per usable CPU, at most one per file (zlib releases the GIL)."""
+    return ThreadPoolExecutor(max_workers=max(1, min(files, _usable_cpus())))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,7 +166,7 @@ def _cmd_fuse(args) -> int:
     _config(args, spec=args.spec or "builtin")
 
     files = _nifti_files(args.anatomy_dir)
-    anatomy = list(zip(files, _read_files(files.values(), kind="label")))
+    anatomy = [(stem, read_volume(path, kind="label")) for stem, path in files.items()]
     ln_mask = read_volume(args.ln, kind="label")
     fused = fusion.fuse(anatomy, ln_mask, spec)
     write_volume(fused, args.out)
@@ -192,35 +197,32 @@ def _cmd_measure(args) -> int:
     mask = canonicalize(open_volume(args.mask))
     cset = label_components(mask, args.connectivity)
     measurements = morphometry.measure_components(cset, mask)
-    Path(args.out).write_text(morphometry.measurements_to_csv(measurements),
-                              encoding="utf-8")
+    _write_text(morphometry.measurements_to_csv(measurements), args.out)
     print(f"measured {cset.count} nodes -> {args.out}")
     return 0
 
 
 def _read_prob_stack(paths: list[Path]) -> Volume:
-    """Per-class scalar volumes on one grid, read on the file threads into
-    the class slots of one class-major (Fortran-ordered) probability volume,
-    so each class grid stays contiguous and no copy transposes it."""
-    for c, vol in enumerate(_read_files(paths, kind="scalar")):
-        if c == 0:
-            first = vol
-            stack = np.empty(vol.dims + (len(paths),), dtype=np.float32, order="F")
-        try:
-            assert_same_grid(first, vol)
-        except NodemetryError as exc:
-            raise type(exc)(f"{paths[0]} vs {paths[c]}: {exc}") from exc
-        stack[..., c] = vol.data
-    return Volume(stack, first.spacing, first.affine, kind="probability")
+    """Per-class scalar volumes on one grid, read as one whole-grid slab into
+    the class slots of a class-major (Fortran-ordered) probability volume."""
+    with ExitStack() as files:
+        [readers] = _open_prob_files([paths], files)
+        grid = readers[0].info
+        with _file_pool(len(paths)) as pool:
+            [(_, [stack])] = _read_slabs([readers], grid.dims[2], pool)
+    return Volume(stack, grid.spacing, grid.affine, kind="probability")
 
 
 def _cmd_ensemble(args) -> int:
     if bool(args.labels) == bool(args.prob_dir):
         raise ValidationError("ensemble needs either --labels files or --prob-dir")
+    if args.labels and args.out_probs:
+        raise ValidationError("--out-probs needs --prob-dir: a vote of labels has no probabilities")
     _config(args)
 
     if args.labels:
-        folds = ens.FoldSet(tuple(_read_files(args.labels, kind="label")), kind="label")
+        folds = ens.FoldSet(tuple(read_volume(p, kind="label") for p in args.labels),
+                            kind="label")
         merged = ens.majority_vote(folds)
         write_volume(merged, args.out)
         print(f"majority vote over {len(folds)} label folds -> {args.out}")
@@ -238,7 +240,7 @@ def _cmd_ensemble(args) -> int:
             made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
         try:
-            with gzip_streams(targets, grid) as streams:
+            with volume_streams(targets, grid, np.dtype(np.float32), "scalar", "") as streams:
                 labels = _stream_mean(readers, streams)
         except BaseException:
             for d in made:  # deepest first: no directory that this run made is left
@@ -283,53 +285,63 @@ def _open_prob_files(paths: list[list[Path]], files: ExitStack) -> list[list[Pay
     return readers
 
 
-def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
-    """The fold-averaged argmax labels of the class files, read slab by slab
-    of whole z-slices, each class's mean slab written to its stream.
-
-    Each slab goes through the whole-grid functions: one class-major
-    probability Volume per fold (range and class-sum checks),
-    ens.average_probabilities and ens.argmax_labels, so every voxel gets the
-    same arithmetic as in one pass over whole grids. One pool of file threads
-    reads slab s+1 while slab s is averaged and deflated; a stream takes its
-    slabs in order. The error reported is that of the first file in file
-    order that cannot be read to its end, then that of the first bad slab.
-    """
-    grid = readers[0][0].info
-    nx, ny, nz = grid.dims
-    classes = len(readers[0])
-    depth = max(1, _SLAB_BYTES // (nx * ny * np.dtype(np.float32).itemsize))
+def _read_slabs(readers: list[list[Payload]], depth: int, pool):
+    """(z, a class-major float32 stack per fold) for each slab of depth whole
+    z-slices of the class files, read on pool's threads while the caller
+    works on the slab before. The error raised is that of the first file in
+    file order that cannot be read to its end, then a ValidationError thrown
+    in at the yield; once a read fails, reads not yet started are cancelled."""
+    nx, ny, nz = readers[0][0].info.dims
     opened = [r for fold in readers for r in fold]
-    labels = None
-    writes = []
 
     def read(z: int):
-        """Submit the reads of the slab at z: (one class-major stack per fold, futures)."""
-        shape = (nx, ny, min(depth, nz - z), classes)
+        shape = (nx, ny, min(depth, nz - z), len(readers[0]))
         stacks = [np.empty(shape, dtype=np.float32, order="F") for _ in readers]
         return stacks, [pool.submit(r.decode_into, stacks[k][..., c])
                         for k, fold in enumerate(readers) for c, r in enumerate(fold)]
 
     def check(futures) -> None:
-        wait(futures)
         for j, future in enumerate(futures):
             if future.exception() is not None:
+                for later in futures[j + 1:]:
+                    later.cancel()
                 raise _first_fault(opened[:j], future.exception())
 
-    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        pending = read(0)
-        for z in range(0, nz, depth):
-            stacks, futures = pending
-            check(futures)
-            if z + depth < nz:
-                pending = read(z + depth)
+    pending = read(0)
+    for z in range(0, nz, depth):
+        stacks, futures = pending
+        check(futures)
+        if z + depth < nz:
+            pending = read(z + depth)
+        try:
+            yield z, stacks
+        except ValidationError as exc:
+            check(pending[1])  # a read error in the next slab comes first
+            raise _first_fault(opened, exc) from None
+
+
+def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
+    """The fold-averaged argmax labels of the class files, slab by slab
+    (_read_slabs), each class's mean slab written to its stream. Each slab
+    goes through the whole-grid functions (probability Volumes with their
+    range and class-sum checks, ens.average_probabilities, ens.argmax_labels),
+    so every voxel gets the same arithmetic as in one pass over whole grids.
+    One pool reads slab s+1 while slab s is deflated; a stream takes its slabs
+    in order."""
+    grid = readers[0][0].info
+    nx, ny, nz = grid.dims
+    depth = max(1, _SLAB_BYTES // (nx * ny * np.dtype(np.float32).itemsize))
+    labels = None
+    writes = []
+    with _file_pool(len(readers) * len(readers[0])) as pool:
+        slabs = _read_slabs(readers, depth, pool)
+        for z, stacks in slabs:
             try:
                 members = tuple(Volume(stack, grid.spacing, grid.affine, kind="probability")
                                 for stack in stacks)
                 mean = ens.average_probabilities(ens.FoldSet(members, kind="probability"))
             except ValidationError as exc:
-                check(pending[1])  # a read error in the next slab comes first
-                raise _first_fault(opened, exc) from None
+                slabs.throw(exc)  # raises the first fault in file order
             slab = ens.argmax_labels(mean).data
             if labels is None:
                 labels = np.empty((nx, ny, nz), dtype=slab.dtype, order="F")
@@ -342,8 +354,6 @@ def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
                       for c, stream in enumerate(streams)]
         for write in writes:
             write.result()
-    for reader in opened:
-        reader.finish()
     return labels
 
 
@@ -351,7 +361,7 @@ def _pair_volumes(args) -> list[tuple[str, Path, Path]]:
     if args.gt and args.pred:
         return [(_volume_stem(Path(args.gt)), Path(args.gt), Path(args.pred))]
     if args.manifest:
-        pairs = []
+        pairs, seen = [], {}
         for lineno, raw in enumerate(Path(args.manifest).read_text().splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -361,6 +371,9 @@ def _pair_volumes(args) -> list[tuple[str, Path, Path]]:
                 raise ValidationError(
                     f"{args.manifest}:{lineno}: expected `patient_id,gt_path,pred_path`"
                 )
+            if seen.setdefault(parts[0], lineno) != lineno:
+                raise ValidationError(f"{args.manifest}:{lineno}: patient_id {parts[0]!r} "
+                                      f"already on line {seen[parts[0]]}")
             pairs.append((parts[0], Path(parts[1]), Path(parts[2])))
         if not pairs:
             raise ValidationError(f"{args.manifest}: no pairs listed")
@@ -503,7 +516,7 @@ def _cmd_eval(args) -> int:
     if args.out_csv:
         lines = ["patient_id,stratum,dice"]
         lines += [f"{pid},{stratum},{value:.4f}" for pid, stratum, value in cohort.rows]
-        Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text("\n".join(lines) + "\n", args.out_csv)
     _print_cohort_summary(cohort, args.threshold_mm)
     return 0
 
@@ -515,8 +528,7 @@ def _cmd_phantom(args) -> int:
     volume, expected = phantom.generate(spec)
     write_volume(volume, args.out)
     if args.out_expected:
-        Path(args.out_expected).write_text(
-            morphometry.measurements_to_csv(expected), encoding="utf-8")
+        _write_text(morphometry.measurements_to_csv(expected), args.out_expected)
     print(f"phantom with {len(expected)} nodes -> {args.out}")
     return 0
 

@@ -16,8 +16,8 @@ a VolumeFile, whose voxels a pass reads in fixed-size chunks of whole
 z-slices into one reused buffer, so labeling a mask never holds its grid.
 Both go through one payload reader (Payload), with the same checks; a
 command that streams many files at once holds one Payload per file.
-write_volume writes a whole grid; gzip_streams writes .nii.gz volumes slab
-by slab, with the same header and the same gzip settings.
+Every file is written through volume_streams, a piece at a time (deflated,
+or with holes for a .nii); write_volume feeds it chunks of whole z-slices.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import gzip
 import math
 import os
 import zlib
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator
@@ -327,8 +327,9 @@ class Payload:
     largest ratio times the compressed size bounds it, and past that bound
     the stream is inflated through, in chunks, to count what it holds.
     readinto fills a whole buffer or raises TruncatedFileError, and decode_into
-    fills a grid with decoded voxels. finish, after the last read, inflates a
-    .nii.gz to the end of its stream, so that every trailer is checked.
+    fills a grid with decoded voxels. finish, after the last read (decode_into
+    calls it), inflates a .nii.gz to the end of its stream, so that every
+    trailer is checked.
     """
 
     def __init__(self, raw, path):
@@ -366,6 +367,8 @@ class Payload:
             buf = np.empty(out.size * self.dtype.itemsize, dtype=np.uint8)
             self.readinto(buf)
             out[...] = self.decode(buf, out.shape)
+        if self._done == self.nbytes:
+            self.finish()
 
     def finish(self) -> None:
         if self._f is not self._raw:
@@ -539,26 +542,36 @@ def _storage_dtype(volume: Volume) -> np.dtype:
     raise ValidationError(f"cannot store dtype {data.dtype} in a NIfTI-1 file")
 
 
-def _write_sparse(f, payload: np.ndarray) -> None:
-    """Write the bytes of a contiguous payload at f's position, seeking over
-    its all-zero blocks of _HOLE bytes, so that the empty part of a mask
-    takes neither disk nor page cache; the file ends where the payload does
-    (a hole reads back as zeros)."""
-    data = payload.reshape(-1).view(np.uint8)
-    start, full = f.tell(), len(data) // _HOLE
-    used = np.append(data[:full * _HOLE].reshape(full, _HOLE).any(axis=1),
-                     data[full * _HOLE:].any())
-    edges = np.flatnonzero(np.diff(used, prepend=False, append=False)).tolist()
-    for a, b in zip(edges[::2], edges[1::2]):
-        f.seek(start + a * _HOLE)
-        f.write(data[a * _HOLE:b * _HOLE])
-    f.truncate(start + len(data))
+class _SparseStream:
+    """A .nii payload written a piece at a time, seeking over each piece's
+    all-zero _HOLE-byte blocks, so that the empty part of a mask takes neither
+    disk nor page cache; close ends the file (holes read back as zeros)."""
+
+    def __init__(self, raw):
+        self._raw = raw
+
+    def write(self, piece) -> None:
+        data = np.frombuffer(piece, np.uint8)
+        start, full = self._raw.tell(), len(data) // _HOLE
+        blocks = data[:full * _HOLE].view(np.uint64)  # 8 bytes a step: a third faster
+        used = np.append(blocks.reshape(full, _HOLE // 8).any(axis=1), data[full * _HOLE:].any())
+        if used.any():  # most pieces of a node mask hold no voxel
+            edges = np.flatnonzero(np.diff(used, prepend=False, append=False)).tolist()
+            for a, b in zip(edges[::2], edges[1::2]):
+                self._raw.seek(start + a * _HOLE)
+                self._raw.write(data[a * _HOLE:b * _HOLE])
+        self._raw.seek(start + len(data))
+
+    def close(self) -> None:
+        self._raw.truncate()
 
 
 def _header_bytes(dims, spacing, affine, dtype: np.dtype, kind: str,
                   description: str) -> bytes:
     """The header and the empty extension flag that precede a payload of
     dtype on the grid given by dims, spacing and affine."""
+    if any(n > 32767 for n in dims):
+        raise ValidationError(f"dims {dims} exceed the int16 dim fields of NIfTI-1")
     hdr = np.zeros((), dtype=_HDR_LE)
     hdr["sizeof_hdr"] = HEADER_SIZE
     hdr["regular"] = b"r"
@@ -597,64 +610,39 @@ def _replacing(path: Path):
         raise
 
 
-def _gzip_writer(raw, path: Path) -> gzip.GzipFile:
-    # the gzip header names the target, not the temp file; a fixed mtime
-    # keeps output byte-identical across runs
-    return gzip.GzipFile(filename=str(path), fileobj=raw, mode="wb", compresslevel=1, mtime=0)
-
-
-def write_volume(volume: Volume, path, compress: bool | None = None) -> None:
-    """Write a Volume as a standard-conformant NIfTI-1 single file.
-
-    compress=None picks gzip when the path ends in .gz. Labels are stored as
-    uint8 while the class ids fit one byte. read_volume(write_volume(v))
-    reproduces voxel data bitwise for all supported datatypes. The file is
-    written beside path and renamed over it, so path holds either its old
-    file or the whole new one, never a partial write. An uncompressed file
-    leaves the all-zero 64 KiB blocks of its payload as holes, so a mostly
-    empty mask costs what its foreground costs to write.
-    """
-    path = Path(path)
-    dims = volume.dims
-    if any(n > 32767 for n in dims):
-        raise ValidationError(f"dims {dims} exceed the int16 dim fields of NIfTI-1")
-
+def write_volume(volume: Volume, path) -> None:
+    """Write a Volume as a standard-conformant NIfTI-1 single file through
+    volume_streams, one chunk of whole z-slices at a time, each cast to the
+    storage dtype on its own. Labels are stored as uint8 while the class ids
+    fit one byte. read_volume(write_volume(v)) reproduces voxel data bitwise
+    for all supported datatypes."""
     dtype = _storage_dtype(volume)
-    data = np.asarray(volume.data)
-    if data.dtype != dtype:
-        data = data.astype(dtype)
-    header = _header_bytes(dims, volume.spacing, volume.affine, dtype, volume.kind,
-                           volume.description)
-
-    if compress is None:
-        compress = path.suffix == ".gz"
-    # the voxels in Fortran order, without a copy when data already is
-    payload = np.asfortranarray(data).T
-    with _replacing(path) as raw:
-        if compress:
-            with _gzip_writer(raw, path) as f:
-                f.write(header)
-                f.write(payload)
-        else:
-            raw.write(header)
-            _write_sparse(raw, payload)
+    nx, ny, nz = volume.dims
+    step = max(1, _SCAN_CHUNK // (nx * ny * dtype.itemsize))
+    with volume_streams([path], volume, dtype, volume.kind, volume.description) as [stream]:
+        for z in range(0, nz, step):
+            # a Fortran-ordered chunk's transpose is the C-ordered buffer of its bytes
+            stream.write(np.asfortranarray(volume.data[:, :, z:z + step], dtype=dtype).T)
 
 
 @contextmanager
-def gzip_streams(paths, grid) -> Iterator[list[gzip.GzipFile]]:
-    """One .nii.gz stream per path for a float32 scalar volume on grid
-    (anything with dims, spacing and affine), each with its header written,
-    as write_volume would write it. The caller writes each payload in
-    Fortran order, a C-contiguous piece of whole z-slices at a time (the
-    transpose of a Fortran-ordered slab); gzip's output does not depend on
-    how the payload is cut. Every path is replaced only when the block ends
-    without error, after every stream has been closed; on any error every
-    temp file is removed and every path keeps its old file."""
-    header = _header_bytes(grid.dims, grid.spacing, grid.affine, np.dtype(np.float32), "scalar",
-                           "")
+def volume_streams(paths, grid, dtype: np.dtype, kind: str,
+                   description: str) -> Iterator[list]:
+    """One stream per path for a volume of dtype on grid (anything with dims,
+    spacing and affine), its header written: deflated for a .gz path, else
+    with zero blocks left as holes. The caller writes each payload in Fortran
+    order, in C-contiguous pieces of any size; the bytes do not depend on the
+    cuts. Every path is replaced, once every stream is closed, only when the
+    block ends without error; otherwise every path keeps its old file."""
+    header = _header_bytes(grid.dims, grid.spacing, grid.affine, dtype, kind, description)
+    paths = [Path(p) for p in paths]
     with ExitStack() as files:
-        raws = [files.enter_context(_replacing(Path(p))) for p in paths]
-        streams = [files.enter_context(_gzip_writer(raw, Path(p))) for raw, p in zip(raws, paths)]
+        raws = [files.enter_context(_replacing(p)) for p in paths]
+        # the gzip header names the target, not the temp file; a fixed mtime
+        # keeps output byte-identical across runs
+        streams = [files.enter_context(closing(
+            gzip.GzipFile(filename=str(p), fileobj=raw, mode="wb", compresslevel=1, mtime=0)
+            if p.suffix == ".gz" else _SparseStream(raw))) for raw, p in zip(raws, paths)]
         for stream in streams:
             stream.write(header)
         yield streams

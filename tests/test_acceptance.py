@@ -345,7 +345,7 @@ def test_criterion_9_scale(tmp_path):
     ))
     vol, expected = nm.generate(spec)
     big = tmp_path / "big.nii"  # uncompressed: the timed budget covers I/O
-    nm.write_volume(vol, big, compress=False)
+    nm.write_volume(vol, big)
     assert big.stat().st_size == 352 + 512 * 512 * 829
 
     start = time.monotonic()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import nodemetry as nm
-from nodemetry import cli, metrics
+from nodemetry import cli, metrics, nifti_io
 from nodemetry import ensemble as ens
 from nodemetry.cli import main
 from conftest import child_rss_kb, make_volume
@@ -148,6 +148,18 @@ def test_eval_manifest(tmp_path):
     assert main(["eval", "--manifest", str(manifest), "--out-json", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["patients"][0]["patient_id"] == "pat7"
+
+
+def test_eval_manifest_repeated_patient_id(tmp_path, capsys):
+    # both rows would be scored: one patient counted twice in every stratum
+    write_mask(tmp_path / "g.nii.gz", two_node_arr())
+    row = f"{tmp_path/'g.nii.gz'},{tmp_path/'g.nii.gz'}"
+    manifest = tmp_path / "pairs.csv"
+    manifest.write_text(f"# patient_id,gt,pred\npat7,{row}\npat8,{row}\npat7,{row}\n")
+    out = tmp_path / "r.json"
+    assert main(["eval", "--manifest", str(manifest), "--out-json", str(out)]) == 1
+    assert f"{manifest}:4: patient_id 'pat7' already on line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_missing_pred_file(tmp_path):
@@ -323,6 +335,69 @@ def test_ensemble_needs_exactly_one_mode(tmp_path):
     assert rc == 1
 
 
+def test_ensemble_labels_rejects_out_probs(tmp_path, capsys):
+    # a vote of label files has no class probabilities to write
+    votes = [tmp_path / f"vote{k}.nii.gz" for k in range(2)]
+    for vote in votes:
+        write_mask(vote, np.zeros((4, 4, 3), np.uint8))
+    out, out_probs = tmp_path / "merged.nii.gz", tmp_path / "avg"
+    assert main(["ensemble", "--labels", *map(str, votes), "--out", str(out),
+                 "--out-probs", str(out_probs)]) == 1
+    assert "--out-probs needs --prob-dir" in capsys.readouterr().err
+    assert not out.exists() and not out_probs.exists()
+
+
+class _HalfWriter:
+    """A file that writes half of what it is given, then fails as a full disk does."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._f.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("report", ["eval-json", "eval-csv", "cc-summary", "measure", "loss",
+                                    "phantom-expected"])
+def test_report_write_error_keeps_old_report(tmp_path, monkeypatch, capsys, report):
+    # every JSON and CSV report is written beside its target and renamed over
+    # it: a write that fails midway exits 2 and leaves the old report whole
+    write_mask(tmp_path / "m.nii.gz", two_node_arr())
+    write_fold_probs(tmp_path / "probs", folds=None, classes=2, shape=(40, 40, 12))
+    (tmp_path / "spec.txt").write_text("dims = 16 16 8\nspacing = 1 1 1\nnode = 8 8 4  3 2 2  0\n")
+    mask = str(tmp_path / "m.nii.gz")
+    name, argv = {
+        "eval-json": ("r.json", ["eval", "--gt", mask, "--pred", mask, "--out-json"]),
+        "eval-csv": ("r.csv", ["eval", "--gt", mask, "--pred", mask, "--out-csv"]),
+        "cc-summary": ("cc.json", ["cc", "--mask", mask, "--out-summary"]),
+        "measure": ("nodes.csv", ["measure", "--mask", mask, "--out"]),
+        "loss": ("loss.json", ["loss", "--prob-dir", str(tmp_path / "probs"), "--gt", mask,
+                               "--out-json"]),
+        "phantom-expected": ("exp.csv", ["phantom", "--spec", str(tmp_path / "spec.txt"),
+                                         "--out", str(tmp_path / "ph.nii.gz"), "--out-expected"]),
+    }[report]
+    target = tmp_path / name
+    target.write_bytes(b"old report\n")
+    real_open = open
+
+    def open_failing_report(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        return _HalfWriter(f) if Path(path).name.startswith(f".{name}.") else f
+
+    monkeypatch.setattr(nifti_io, "open", open_failing_report, raising=False)
+    assert main([*argv, str(target)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert target.read_bytes() == b"old report\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_loss_command(tmp_path, capsys):
     shape = (4, 4, 4)
     labels = np.zeros(shape, np.uint8); labels[:2] = 1
@@ -400,6 +475,16 @@ def write_probs(prob_dir, names, shape=(5, 5, 3), spacing=(1.0, 1.0, 1.0)):
     for name in names:
         vol = make_volume(np.full(shape, 0.5, np.float32), spacing, kind="scalar")
         nm.write_volume(vol, prob_dir / name)
+
+
+def test_ensemble_fold_files_cover_0_to_k_minus_1(tmp_path, capsys):
+    # without fold1's files, the mean of folds 0 and 2 is not the 3-fold mean
+    write_probs(tmp_path / "probs", [f"fold{k}_class{c}.nii.gz" for k in (0, 2) for c in (0, 1)])
+    out = tmp_path / "merged.nii.gz"
+    rc = main(["ensemble", "--prob-dir", str(tmp_path / "probs"), "--out", str(out)])
+    assert rc == 1
+    assert "no fold 1 in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ensemble_class_files_cover_0_to_c_minus_1(tmp_path, capsys):
@@ -651,14 +736,14 @@ def test_streamed_ensemble_under_thread_stress(tmp_path, monkeypatch):
             self._stream.write(data)
             self._busy = False
 
-    streams = cli.gzip_streams
+    streams = cli.volume_streams
 
     @contextmanager
-    def watched(paths, grid):
-        with streams(paths, grid) as opened:
+    def watched(*args):
+        with streams(*args) as opened:
             yield [OneWriter(stream) for stream in opened]
 
-    monkeypatch.setattr(cli, "gzip_streams", watched)
+    monkeypatch.setattr(cli, "volume_streams", watched)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -722,6 +807,38 @@ def test_failed_stream_leaves_outputs_as_they_were(tmp_path, monkeypatch, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "probs"]
 
 
+def test_bad_slab_is_reported_after_the_next_slab_reads_end(tmp_path, monkeypatch, capsys):
+    # before the files are drained to find an earlier read error, the reads
+    # of the next slab must have ended: a file drained while it is being read
+    # would be read by two threads at once
+    CPU_SETUPS["four-cpus"](monkeypatch)
+    monkeypatch.setattr(cli, "_SLAB_BYTES", 9 * 7 * 4)  # one slice per slab
+    prob_dir = tmp_path / "probs"
+    write_fold_probs(prob_dir, folds=2, classes=3)
+    _break_sums(prob_dir / "fold0_class1.nii.gz")
+    busy, overlaps = set(), []
+    decode_into, drain = cli.Payload.decode_into, cli.Payload.drain
+
+    def slow_decode(payload, out):
+        busy.add(payload)
+        time.sleep(0.05)
+        try:
+            decode_into(payload, out)
+        finally:
+            busy.discard(payload)
+
+    def watched_drain(payload):
+        overlaps.append(payload in busy)
+        drain(payload)
+
+    monkeypatch.setattr(cli.Payload, "decode_into", slow_decode)
+    monkeypatch.setattr(cli.Payload, "drain", watched_drain)
+    assert main(["ensemble", "--prob-dir", str(prob_dir),
+                 "--out", str(tmp_path / "merged.nii.gz")]) == 1
+    assert "class sums" in capsys.readouterr().err
+    assert len(overlaps) == 6 and not any(overlaps)
+
+
 @pytest.mark.parametrize("fold, cls", [(0, 0), (0, 3), (1, 0), (2, 2)])
 def test_grid_mismatch_in_any_fold_exits_1_before_any_output(tmp_path, monkeypatch, capsys,
                                                               fold, cls):
@@ -732,7 +849,7 @@ def test_grid_mismatch_in_any_fold_exits_1_before_any_output(tmp_path, monkeypat
     def no_output(*args):
         raise AssertionError("an output was opened")
 
-    monkeypatch.setattr(cli, "gzip_streams", no_output)
+    monkeypatch.setattr(cli, "volume_streams", no_output)
     monkeypatch.setattr(cli, "write_volume", no_output)
     out = tmp_path / "out"
     assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(out / "merged.nii.gz"),
@@ -773,24 +890,30 @@ def test_ensemble_child_holds_no_fold_stack(tmp_path):
 
 
 def test_file_error_cancels_reads_not_started(tmp_path, monkeypatch):
+    # loss, and ensemble --prob-dir on one fold, read through the same slab reader
     CPU_SETUPS["one-cpu"](monkeypatch)
-    prob_dir = tmp_path / "probs"
-    write_fold_probs(prob_dir, folds=None, classes=6)
-    _break_crc(prob_dir / "class1.nii.gz")
     write_mask(tmp_path / "gt.nii.gz", np.zeros((9, 7, 5), np.uint8))
     started = []
-    read_volume = cli.read_volume
+    decode_into = cli.Payload.decode_into
 
-    def slow_read(path, kind=None):
-        started.append(path.name)
-        if path.name > "class1":
+    def slow_decode(payload, out):
+        started.append(payload._path.name)
+        if payload._path.name.split("class")[1] > "1":
             time.sleep(0.3)  # holds the one file thread while class1's error is raised
-        return read_volume(path, kind=kind)
+        return decode_into(payload, out)
 
-    monkeypatch.setattr(cli, "read_volume", slow_read)
-    assert main(["loss", "--prob-dir", str(prob_dir), "--gt", str(tmp_path / "gt.nii.gz")]) == 2
-    # class0, class1, and at most the read that was running when class1 failed
-    assert started[:2] == ["class0.nii.gz", "class1.nii.gz"] and len(started) <= 3
+    monkeypatch.setattr(cli.Payload, "decode_into", slow_decode)
+    for command, prefix in (("loss", ""), ("ensemble", "fold0_")):
+        prob_dir = tmp_path / command
+        write_fold_probs(prob_dir, folds=None if command == "loss" else 1, classes=6)
+        _break_crc(prob_dir / f"{prefix}class1.nii.gz")
+        started.clear()
+        argv = {"loss": ["--gt", str(tmp_path / "gt.nii.gz")],
+                "ensemble": ["--out", str(tmp_path / "merged.nii.gz")]}[command]
+        assert main([command, "--prob-dir", str(prob_dir), *argv]) == 2
+        # class0, class1, and at most the read that was running when class1 failed
+        assert started[:2] == [f"{prefix}class0.nii.gz", f"{prefix}class1.nii.gz"]
+        assert len(started) <= 3, (command, started)
 
 
 @st.composite

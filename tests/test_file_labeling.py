@@ -302,3 +302,24 @@ def test_cc_and_eval_hold_no_whole_grid(tmp_path):
     assert json.loads((tmp_path / "e.json").read_text())["patients"][0]["gt_node_count"] == 4
     assert cc < base + half_grid_kb, (cc, base)
     assert ev < base + half_grid_kb, (ev, base)
+
+
+def test_cc_out_labels_holds_no_whole_grid_copy(tmp_path):
+    # 300 components are stored as int32: each z-chunk of the component grid
+    # is cast on its own, so neither suffix makes a 105 MB int32 copy of it
+    mask = np.zeros((256, 256, 400), np.uint8, order="F")
+    for x, y, z in np.ndindex(10, 10, 3):
+        mask[20 + 22 * x:23 + 22 * x, 20 + 22 * y:23 + 22 * y, 60 + 130 * z:63 + 130 * z] = 1
+    _write(tmp_path / "mask.nii", mask)
+    del mask
+
+    def cc(*out):
+        return child_rss_kb(["-m", "nodemetry.cli", "cc", "--mask", "mask.nii",
+                             "--out-summary", "cc.json", *out], tmp_path)
+
+    base = cc()
+    assert json.loads((tmp_path / "cc.json").read_text())["count"] == 300
+    for name in ("cc.nii", "cc.nii.gz"):
+        peak = cc("--out-labels", name)
+        assert nm.read_header(tmp_path / name).datatype_code == 8
+        assert peak < base + 8 * 1024, (name, peak, base)

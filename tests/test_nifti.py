@@ -67,7 +67,7 @@ def build_nifti_bytes(order="<", dims=(3, 2, 2), datatype=2, bitpix=8,
 def test_round_trip_identity(tmp_path, rng, dtype, kind, compress):
     v = random_volume(rng, dtype, kind)
     path = tmp_path / ("v.nii.gz" if compress else "v.nii")
-    nm.write_volume(v, path, compress=compress)
+    nm.write_volume(v, path)
     r = nm.read_volume(path)
     assert r.data.dtype == v.data.dtype
     assert np.array_equal(r.data, v.data)
@@ -80,8 +80,8 @@ def test_round_trip_identity(tmp_path, rng, dtype, kind, compress):
 
 def test_compression_transparency(tmp_path, rng):
     v = random_volume(rng, "i2", "scalar")
-    nm.write_volume(v, tmp_path / "a.nii", compress=False)
-    nm.write_volume(v, tmp_path / "b.nii.gz", compress=True)
+    nm.write_volume(v, tmp_path / "a.nii")
+    nm.write_volume(v, tmp_path / "b.nii.gz")
     a = nm.read_volume(tmp_path / "a.nii")
     b = nm.read_volume(tmp_path / "b.nii.gz")
     assert np.array_equal(a.data, b.data)
@@ -90,14 +90,14 @@ def test_compression_transparency(tmp_path, rng):
 
 def test_file_size_8cube(tmp_path):
     v = make_volume(np.zeros((8, 8, 8), np.uint8))
-    nm.write_volume(v, tmp_path / "v.nii", compress=False)
+    nm.write_volume(v, tmp_path / "v.nii")
     assert (tmp_path / "v.nii").stat().st_size == 352 + 512
 
 
 def test_full_size_grid_voxel_count(tmp_path):
     # a full-size clinical grid: 512 x 512 x 829 of uint8
     v = make_volume(np.zeros((512, 512, 829), np.uint8))
-    nm.write_volume(v, tmp_path / "big.nii", compress=False)
+    nm.write_volume(v, tmp_path / "big.nii")
     r = nm.read_volume(tmp_path / "big.nii")
     assert r.data.size == 512 * 512 * 829 == 217_317_376
 
@@ -176,7 +176,7 @@ def test_bitpix_must_match_datatype(tmp_path):
 def test_truncated_payload(tmp_path):
     v = make_volume(np.ones((6, 6, 6), np.uint8))
     path = tmp_path / "v.nii"
-    nm.write_volume(v, path, compress=False)
+    nm.write_volume(v, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:352 + 100])
     with pytest.raises(nm.TruncatedFileError) as exc:
@@ -187,8 +187,7 @@ def test_truncated_payload(tmp_path):
 def test_short_payload_read_is_truncated(tmp_path):
     # a .nii that shrinks after its size was checked: readinto fills fewer bytes
     path = tmp_path / "v.nii"
-    nm.write_volume(make_volume(np.arange(64, dtype=np.uint8).reshape((4, 4, 4), order="F")), path,
-                    compress=False)
+    nm.write_volume(make_volume(np.arange(64, dtype=np.uint8).reshape((4, 4, 4), order="F")), path)
     with open(path, "rb", buffering=0) as raw:
         payload = nifti_io.Payload(raw, path)
         buf = np.empty(24, np.uint8)
@@ -516,32 +515,45 @@ def test_decode_into_slabs_equals_read_volume(tmp_path, case, gz):
 
 @pytest.mark.parametrize("slices", [1, 2, 3, 7])
 def test_gzip_streams_write_what_write_volume_writes(tmp_path, rng, slices):
-    # the same bytes however the payload is cut into slabs of whole z-slices
-    data = np.asfortranarray(rng.random((6, 5, 7)).astype(np.float32))
-    vol = make_volume(data, (0.5, 0.7, 2.0), kind="scalar")
-    nm.write_volume(vol, tmp_path / "v.nii.gz")  # the gzip header names the file
-    paths = [tmp_path / d / "v.nii.gz" for d in ("a", "b")]
-    for path in paths:
-        path.parent.mkdir()
-    with nifti_io.gzip_streams(paths, vol) as streams:
-        for z in range(0, 7, slices):
-            for stream in streams:
-                stream.write(data[:, :, z:z + slices].T)
-        assert not any(p.exists() for p in paths)  # renamed only when every stream is done
-    for path in paths:
-        assert path.read_bytes() == (tmp_path / "v.nii.gz").read_bytes()
-        assert [p.name for p in path.parent.iterdir()] == ["v.nii.gz"]
+    # volume_streams gives write_volume's bytes for every stored dtype, on
+    # .nii (zero blocks become holes) and .nii.gz alike, however the payload
+    # is cut: into slabs of whole z-slices or into pieces of any byte count
+    piece = {1: 77, 2: 1000, 3: 65_537, 7: 77_777}[slices]
+    for dtype, kind in (("u1", "label"), ("i2", "scalar"), ("i4", "scalar"), ("f4", "scalar")):
+        data = np.zeros((70, 64, 33), dtype, order="F")
+        data[:, :, 5:9] = rng.integers(1, 100, (70, 64, 4))
+        data[3, 4, 30] = 7
+        vol = make_volume(data, (0.5, 0.7, 2.0), kind=kind)
+        payload = data.tobytes(order="F")
+        for name in ("v.nii", "v.nii.gz"):
+            nm.write_volume(vol, tmp_path / name)  # the gzip header names the file
+            paths = [tmp_path / dtype / d / name for d in ("slabs", "pieces")]
+            for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            with nifti_io.volume_streams(paths, vol, np.dtype(dtype), kind, "") as [slabs, pieces]:
+                for z in range(0, 33, slices):
+                    slabs.write(data[:, :, z:z + slices].T)
+                for start in range(0, len(payload), piece):
+                    pieces.write(payload[start:start + piece])
+                assert not any(p.exists() for p in paths)  # renamed once every stream is done
+            for path in paths:
+                assert path.read_bytes() == (tmp_path / name).read_bytes(), (dtype, path)
+        for d in ("slabs", "pieces"):
+            assert sorted(p.name for p in (tmp_path / dtype / d).iterdir()) == ["v.nii", "v.nii.gz"]
 
 
 def test_gzip_streams_error_keeps_old_files(tmp_path):
     vol = make_volume(np.zeros((3, 3, 3), np.float32), kind="scalar")
-    paths = [tmp_path / "a.nii.gz", tmp_path / "b.nii.gz"]
-    paths[0].write_bytes(b"old")
-    with pytest.raises(RuntimeError), nifti_io.gzip_streams(paths, vol) as streams:
-        streams[0].write(np.zeros(27, np.float32))
+    paths = [tmp_path / "a.nii.gz", tmp_path / "b.nii", tmp_path / "c.nii"]
+    paths[0].write_bytes(b"old a")
+    paths[1].write_bytes(b"old b")
+    with pytest.raises(RuntimeError), \
+            nifti_io.volume_streams(paths, vol, np.dtype(np.float32), "scalar", "") as streams:
+        for stream in streams[:2]:
+            stream.write(np.ones(27, np.float32))
         raise RuntimeError
-    assert [p.name for p in tmp_path.iterdir()] == ["a.nii.gz"]
-    assert paths[0].read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.nii.gz", "b.nii"]
+    assert [p.read_bytes() for p in paths[:2]] == [b"old a", b"old b"]
 
 
 def _mask_8cube(fields=(), slope=0.0) -> bytes:
