@@ -455,6 +455,11 @@ class _LnForeground(Foreground):
         else:
             self._parts.append(keys[values == self.ln_class])
 
+    def zeros(self, start, stop):
+        # a hole of the file: zero voxels, kept only by a multi-class ln_class 0
+        if not self.binary and self.ln_class == 0:
+            self._parts.append(np.arange(start, stop))
+
     def _multi_class(self, start: int) -> None:
         """The file is multi-class: keep only the ln_class voxels before start."""
         self.binary = False

@@ -4,8 +4,11 @@ Every labeling makes one pass over the mask, in chunks of whole slabs along
 its slowest memory axis (axial slices for the Fortran-ordered grids read
 from disk): an in-memory grid is one chunk, a file (nifti_io.VolumeFile) is
 read chunk by chunk into one reused buffer, so labeling a file never holds
-its grid. Per chunk, an occupancy scan finds the slabs holding any
-foreground, and indexing runs only inside the runs of occupied slabs. The
+its grid, and a chunk that lies in a hole of the file is neither read nor
+scanned. Per chunk, an occupancy scan finds the slabs holding any
+foreground, and the nonzero voxels are found only inside the runs of
+occupied slabs, through a bool mask of each run. A float mask that holds
+NaN there is rejected: NaN is neither foreground nor background. The
 foreground keys are then put in the labeled grid's scan order (for a
 canonicalized file, by permuting and flipping their coordinates) and
 labeled as runs along rows joined by a union-find (run-based labeling, He,
@@ -137,20 +140,28 @@ def _slab_view(data: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.asfortranarray(data), False
 
 
-def _chunk_keys(chunk: np.ndarray) -> np.ndarray:
+def _chunk_keys(chunk: np.ndarray, source) -> np.ndarray:
     """Ascending offsets, in memory order, of the nonzero voxels of a
     Fortran-contiguous chunk of whole slabs (along its last axis).
 
     An occupancy reduction over contiguous memory finds the runs of slabs
-    holding foreground, and flatnonzero walks those runs only, while the
-    chunk is still in cache.
+    holding foreground. Within each run, while the chunk is still in cache,
+    flatnonzero walks a bool mask of the nonzero voxels (several times
+    faster than on the raw values, with the same result), and a float run is
+    checked for NaN at those voxels; source names the mask in that error.
     """
     nx, ny, nz = chunk.shape
     occupied = chunk.reshape((nx * ny, nz), order="F").any(axis=0)
     edges = np.flatnonzero(np.diff(occupied, prepend=False, append=False)).tolist()
-    return np.concatenate([np.flatnonzero(chunk[:, :, a:b].ravel(order="F")) + a * (nx * ny)
-                           for a, b in zip(edges[::2], edges[1::2])]
-                          or [np.zeros(0, dtype=np.int64)])
+    parts = [np.zeros(0, dtype=np.int64)]
+    for a, b in zip(edges[::2], edges[1::2]):
+        run = chunk[:, :, a:b].ravel(order="F")
+        keys = np.flatnonzero(run != 0)
+        if run.dtype.kind == "f" and np.isnan(run[keys]).any():
+            raise ValidationError(f"{source} holds NaN voxels, neither foreground nor "
+                                  "background")
+        parts.append(keys + a * (nx * ny))
+    return np.concatenate(parts)
 
 
 class Foreground:
@@ -164,6 +175,10 @@ class Foreground:
         """Take a chunk: keys are the memory-order offsets, on the whole
         grid, of its nonzero voxels; start is the offset of its first."""
         self._parts.append(keys)
+
+    def zeros(self, start: int, stop: int) -> None:
+        """Take a chunk that was not read, a hole of its file: the voxels at
+        memory-order offsets start..stop-1 are all zero."""
 
     def keys(self) -> np.ndarray:
         """Ascending memory-order offsets of the foreground."""
@@ -190,24 +205,25 @@ def _foreground_keys(mask) -> tuple[np.ndarray, tuple]:
     """Ascending C-order keys of the foreground of a mask, and the shape of
     the grid they index, from one pass over its chunks.
 
-    A VolumeFile's chunks come from its file, in file order, and its keys are
-    put in the order of its (perhaps canonical) grid; a Volume or array is one
+    A VolumeFile's chunks come from its file, in file order (one that lies in
+    a hole of the file comes unread, as a run of zeros), and its keys are put
+    in the order of its (perhaps canonical) grid; a Volume or array is one
     chunk, its Fortran-contiguous view, and keeps its own order.
     """
     if hasattr(mask, "chunks"):
-        chunks, perm, flips = mask.chunks(), mask.perm, mask.flips
-        foreground = (mask.foreground or Foreground)()
+        chunks, shape, perm, flips = mask.chunks(), mask.info.dims, mask.perm, mask.flips
+        foreground, source = (mask.foreground or Foreground)(), mask.path
     else:
         f, transposed = _slab_view(_as_mask(mask))
-        chunks, perm, flips = (f,), ((2, 1, 0) if transposed else (0, 1, 2)), (False,) * 3
-        foreground = Foreground()
-    start, depth = 0, 0
-    for chunk in chunks:
-        foreground.add(_chunk_keys(chunk) + start, chunk, start)
-        start += chunk.size
-        depth += chunk.shape[2]
-        plane = chunk.shape[:2]
-    return _scan_order(foreground.keys(), plane + (depth,), perm, flips)
+        chunks, shape = ((0, f.size, f),), f.shape
+        perm, flips = ((2, 1, 0) if transposed else (0, 1, 2)), (False,) * 3
+        foreground, source = Foreground(), "mask"
+    for start, stop, chunk in chunks:
+        if chunk is None:
+            foreground.zeros(start, stop)
+        else:
+            foreground.add(_chunk_keys(chunk, source) + start, chunk, start)
+    return _scan_order(foreground.keys(), shape, perm, flips)
 
 
 def _run_ids(keys: np.ndarray, shape, connectivity: int) -> tuple[np.ndarray, int]:

@@ -14,14 +14,19 @@ every gzip trailer is checked and a broken stream never yields voxels.
 read_volume reads a whole grid. open_volume reads only the header and gives
 a VolumeFile, whose voxels a pass reads in fixed-size chunks of whole
 z-slices into one reused buffer, so labeling a mask never holds its grid.
-Both go through one payload reader (Payload), with the same checks; a
-command that streams many files at once holds one Payload per file.
+A chunk of an unscaled .nii that lies wholly in a hole of the file (a run
+of zero blocks a .nii write left unwritten) is passed over unread: the
+file system is asked where the next data byte is, and one without holes
+reports every byte as data. Both go through one payload reader (Payload),
+with the same checks; a command that streams many files at once holds one
+Payload per file.
 Every file is written through volume_streams, a piece at a time (deflated,
 or with holes for a .nii); write_volume feeds it chunks of whole z-slices.
 """
 
 from __future__ import annotations
 
+import errno
 import gzip
 import math
 import os
@@ -356,6 +361,33 @@ class Payload:
         if got < len(buf):  # the file ended early, or shrank after its size was checked
             raise self._truncated(self._done)
 
+    def skip_hole(self, size: int) -> bool:
+        """Pass over the next size payload bytes, unread, when they lie
+        wholly in a hole of the file, where they read as zeros; whether they
+        did. Only an unscaled .nii skips: a .nii.gz has no holes, and a scaled
+        zero is scl_inter. A file that shrank since it was opened is a
+        TruncatedFileError, not a hole."""
+        if self._f is not self._raw or self.info.scaled:
+            return False
+        fd, pos = self._raw.fileno(), self.info.vox_offset + self._done
+        # a buffered reader reads on from where it left the descriptor
+        here = os.lseek(fd, 0, os.SEEK_CUR)
+        try:
+            data = os.lseek(fd, pos, os.SEEK_DATA)
+        except OSError as exc:
+            if exc.errno != errno.ENXIO:
+                raise
+            # no data from pos to the end of the file, wherever that now is
+            self._check(os.fstat(fd).st_size - self.info.vox_offset)
+            data = math.inf
+        finally:
+            os.lseek(fd, here, os.SEEK_SET)
+        if data < pos + size:
+            return False
+        self._done += size
+        self._raw.seek(pos + size)
+        return True
+
     def decode_into(self, out: np.ndarray) -> None:
         """Fill out, a Fortran-contiguous grid of whole z-slices, with the
         next out.size voxels, decoded as read_volume decodes them and cast to
@@ -437,7 +469,8 @@ class VolumeFile:
 
     dims, spacing, affine, kind and description are those read_volume would
     give, from the header that open_volume reads. chunks() reads the voxels,
-    in file order, in chunks of whole z-slices of the file's grid; a pass
+    in file order, in chunks of whole z-slices of the file's grid, and
+    passes over the chunks that lie in holes of the file unread; a pass
     over them (components.label_components) holds one chunk at a time.
     canonicalize gives a VolumeFile that keeps the file's voxel order and
     records, in perm and flips, how the axes of the canonical grid map to
@@ -488,11 +521,14 @@ class VolumeFile:
         return Volume(data, self.spacing, self.affine, kind=kind or self.kind,
                       class_count=class_count, description=self.description)
 
-    def chunks(self) -> Iterator[np.ndarray]:
+    def chunks(self) -> Iterator[tuple[int, int, np.ndarray | None]]:
         """The voxels, decoded as read_volume decodes them, in Fortran-ordered
-        chunks of whole z-slices of the file's grid, front to back. Every
-        chunk is a view of one buffer that the next chunk overwrites. The
-        file must still have the header it was opened with."""
+        chunks of whole z-slices of the file's grid, front to back, each as
+        (start, stop, chunk): the memory-order offsets of its first voxel and
+        of the voxel after its last, and the chunk. Every chunk is a view of
+        one buffer that the next chunk overwrites. A chunk that lies wholly
+        in a hole of the file is None: it is not read, and its voxels are
+        zeros. The file must still have the header it was opened with."""
         with open(self.path, "rb") as raw:
             payload = Payload(raw, self.path)
             if payload.header != self.header:
@@ -504,8 +540,12 @@ class VolumeFile:
             for z in range(0, nz, step):
                 depth = min(step, nz - z)
                 view = buf[:depth * slab]
-                payload.readinto(view)
-                yield payload.decode(view, (nx, ny, depth))
+                start, stop = z * nx * ny, (z + depth) * nx * ny
+                if payload.skip_hole(len(view)):
+                    yield start, stop, None
+                else:
+                    payload.readinto(view)
+                    yield start, stop, payload.decode(view, (nx, ny, depth))
             payload.finish()
 
 

@@ -286,3 +286,23 @@ def test_filter_keeps_carried_voxels_consistent():
     assert np.array_equal(kept.keys, np.flatnonzero(kept.component_of))
     assert np.array_equal(kept.labels, kept.component_of[kept.component_of != 0])
     assert np.array_equal(kept.voxels(1), kept.coords)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_float_mask_keys_are_its_nonzero_voxels(layout):
+    # -0.0 is background and inf foreground, as flatnonzero of the raw values has them
+    data = np.zeros((5, 6, 7), np.float32)
+    data[1, 2, 3], data[4, 5, 6], data[0, 0, 0], data[2, 2, 2] = -0.0, np.inf, 0.5, -1e-30
+    cset = nm.label_components(LAYOUTS[layout](data))
+    assert np.array_equal(cset.keys, np.flatnonzero(data))
+    assert np.array_equal(cset.keys, [0, 2 * 42 + 2 * 7 + 2, 4 * 42 + 5 * 7 + 6])
+
+
+@pytest.mark.parametrize("wrap", [lambda d: d, make_volume], ids=["array", "volume"])
+def test_nan_in_a_float_mask_is_rejected(wrap):
+    # NaN is nonzero, so it used to count as foreground
+    data = np.zeros((5, 6, 7), np.float32)
+    data[1:3, 1:3, 2:4] = 1.0
+    data[4, 5, 6] = np.nan
+    with pytest.raises(nm.ValidationError, match="mask holds NaN"):
+        nm.label_components(wrap(data))

@@ -1,10 +1,13 @@
 """cc, measure and eval label their masks straight from the file, one chunk of
 z-slices at a time: the same outputs as reading the whole grid, the same exit
-codes on bad files, and no whole grid in memory."""
+codes on bad files, and no whole grid in memory. Chunks that lie in holes of
+a .nii are not read, with the same outputs as a copy without holes."""
 
 import gzip
 import json
+import os
 import struct
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -157,8 +160,8 @@ def _run_all(tmp_path, gt, pred, ln_class=2):
     return out
 
 
-def _assert_whole_grid_outputs(tmp_path, gt, pred, ln_class=2):
-    got = _run_all(tmp_path, gt, pred, ln_class)
+def _assert_whole_grid_outputs(tmp_path, gt, pred, ln_class=2, got=None):
+    got = got or _run_all(tmp_path, gt, pred, ln_class)
     summary = _expected_cc(gt, tmp_path / "cc_expected.nii")
     assert got["cc"] == (summary, (tmp_path / "cc_expected.nii").read_bytes())
     assert got["measure"] == _expected_measure(gt)
@@ -215,6 +218,199 @@ def test_file_rewritten_after_open_is_rejected(tmp_path):
     _write(path, _nodes((11, 9, 14)))
     with pytest.raises(nm.NiftiFormatError, match="header changed"):
         nm.label_components(mask)
+
+
+HOLE_SHAPE = (64, 48, 40)  # a uint8 slice is 3072 bytes: holes start and end mid-slice
+
+
+def _holed(where, small):
+    """small (an 11x9x13 grid) in a zero grid of HOLE_SHAPE: in its far
+    corner ("first": the payload starts with zero slices), its near corner
+    ("last": it ends with them) or both ("middle")."""
+    data = np.zeros(HOLE_SHAPE, small.dtype)
+    nx, ny, nz = small.shape
+    if where in ("last", "middle"):
+        data[:nx, :ny, :nz] = small
+    if where in ("first", "middle"):
+        data[-nx:, -ny:, -nz:] = small
+    return data
+
+
+def _sparse_file(path, blob):
+    """blob as a file whose all-zero blocks are holes, as a .nii write leaves them."""
+    with open(path, "wb") as raw:
+        stream = nifti_io._SparseStream(raw)
+        stream.write(blob)
+        stream.close()
+
+
+def _big_endian_holes(path, data):
+    _sparse_file(path, build_nifti_bytes(
+        order=">", dims=data.shape, datatype=4, bitpix=16, pixdim=SPACING,
+        payload=data.astype(">i2").tobytes(order="F")))
+
+
+def _has_hole(path) -> bool:
+    """Whether the file system reports a hole in the file before its end."""
+    with open(path, "rb") as f:
+        return os.lseek(f.fileno(), 0, os.SEEK_HOLE) < os.fstat(f.fileno()).st_size
+
+
+def _payload_bytes(path) -> int:
+    with open(path, "rb") as raw:
+        return nifti_io.Payload(raw, path).nbytes
+
+
+def _payload_reads(monkeypatch) -> Counter:
+    """Bytes that pass through Payload.readinto from now on, per file path."""
+    reads = Counter()
+    readinto = nifti_io.Payload.readinto
+
+    def counted(self, buf):
+        reads[str(self._path)] += len(buf)
+        readinto(self, buf)
+
+    monkeypatch.setattr(nifti_io.Payload, "readinto", counted)
+    return reads
+
+
+def _assert_hole_reads(reads, path, passes):
+    """Each pass read fewer bytes than the payload holds where the file has
+    holes, and every byte where it has none."""
+    payload = passes * _payload_bytes(path)
+    if _has_hole(path):
+        assert 0 < reads[str(path)] < payload, (path, reads[str(path)], payload)
+    else:
+        assert reads[str(path)] == payload, (path, reads[str(path)], payload)
+
+
+# the nodes' values, how the grid is written, and eval's --ln-class
+HOLE_CASES = {
+    "binary": (lambda d: d, _write, 2),
+    "0-255": (lambda d: d * 255, _write, 2),
+    "multi-class-ln0": (_multi_class, _write, 0),
+    "multi-class-ln2": (_multi_class, _write, 2),
+    "big-endian": (lambda d: d, _big_endian_holes, 2),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2], ids=["one-slice", "two-slices"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("case", sorted(HOLE_CASES))
+def test_hole_chunks_are_not_read_and_change_no_output(tmp_path, monkeypatch, case, where,
+                                                       depth):
+    monkeypatch.setattr(nifti_io, "_HOLE", 4096)
+    monkeypatch.setattr(nifti_io, "_SCAN_CHUNK", depth * HOLE_SHAPE[0] * HOLE_SHAPE[1])
+    values, writer, ln_class = HOLE_CASES[case]
+    dense = tmp_path / "dense"
+    dense.mkdir()
+    for name, small in (("gt", _nodes()), ("pred", _pred(_nodes()))):
+        writer(tmp_path / f"{name}.nii", _holed(where, values(small)))
+        # the same bytes, every block written: no holes
+        (dense / f"{name}.nii").write_bytes((tmp_path / f"{name}.nii").read_bytes())
+    reads = _payload_reads(monkeypatch)
+    got = _run_all(tmp_path, tmp_path / "gt.nii", tmp_path / "pred.nii", ln_class)
+    assert _run_all(dense, dense / "gt.nii", dense / "pred.nii", ln_class) == got
+    # cc and measure read gt once each, eval reads gt and pred once each
+    for d in (tmp_path, dense):
+        _assert_hole_reads(reads, d / "gt.nii", 3)
+        _assert_hole_reads(reads, d / "pred.nii", 1)
+    assert not _has_hole(dense / "gt.nii")
+    _assert_whole_grid_outputs(tmp_path, tmp_path / "gt.nii", tmp_path / "pred.nii", ln_class,
+                               got)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_chunks_after_hole_queries_hold_the_file_voxels(tmp_path, monkeypatch, where):
+    # asking the file system for the next data byte moves the descriptor under
+    # the buffered reader: every chunk read after a query must still hold the
+    # voxels at its offsets, and every skipped chunk must be zeros
+    monkeypatch.setattr(nifti_io, "_HOLE", 4096)
+    monkeypatch.setattr(nifti_io, "_SCAN_CHUNK", HOLE_SHAPE[0] * HOLE_SHAPE[1])
+    path = tmp_path / "m.nii"
+    _write(path, _holed(where, _multi_class(_nodes())))
+    flat = nm.read_volume(path).data.ravel(order="F")
+    skipped = 0
+    for start, stop, chunk in nifti_io.open_volume(path).chunks():
+        if chunk is None:
+            skipped += 1
+            assert not flat[start:stop].any()
+        else:
+            assert np.array_equal(chunk.ravel(order="F"), flat[start:stop])
+    assert skipped > 0 or not _has_hole(path)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_hole_file_truncated_during_a_pass(tmp_path, monkeypatch, where):
+    # past the new end of the file the file system reports no data at all,
+    # which must not read as a hole of zeros
+    monkeypatch.setattr(nifti_io, "_HOLE", 4096)
+    monkeypatch.setattr(nifti_io, "_SCAN_CHUNK", HOLE_SHAPE[0] * HOLE_SHAPE[1])
+    path = tmp_path / "m.nii"
+    _write(path, _holed(where, _nodes()))
+    chunks = nifti_io.open_volume(path).chunks()
+    next(chunks)
+    os.truncate(path, nifti_io.MIN_VOX_OFFSET + 20 * HOLE_SHAPE[0] * HOLE_SHAPE[1])
+    with pytest.raises(nm.TruncatedFileError, match="header promises"):
+        list(chunks)
+
+
+def test_hole_file_rewritten_after_open_is_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(nifti_io, "_HOLE", 4096)
+    path = tmp_path / "m.nii"
+    _write(path, _holed("first", _nodes()))
+    mask = nifti_io.open_volume(path)
+    _write(path, _holed("first", _nodes())[:, :, 1:])
+    with pytest.raises(nm.NiftiFormatError, match="header changed"):
+        nm.label_components(mask)
+
+
+def test_scaled_and_gzip_files_read_every_byte(tmp_path, monkeypatch):
+    # a scaled zero is scl_inter: here a stored 0 reads as 1, foreground, so
+    # a hole of a scaled file is no run of background
+    monkeypatch.setattr(nifti_io, "_HOLE", 4096)
+    monkeypatch.setattr(nifti_io, "_SCAN_CHUNK", HOLE_SHAPE[0] * HOLE_SHAPE[1])
+    stored = _holed("middle", _nodes())
+    mask = 1 - stored  # mostly foreground, stored as zero blocks
+    _sparse_file(tmp_path / "scaled.nii", build_nifti_bytes(
+        dims=HOLE_SHAPE, datatype=4, bitpix=16, pixdim=SPACING, slope=-1.0, inter=1.0,
+        payload=stored.astype("<i2").tobytes(order="F")))
+    _write(tmp_path / "m.nii", stored)
+    assert _has_hole(tmp_path / "scaled.nii") == _has_hole(tmp_path / "m.nii")
+    _write(tmp_path / "m.nii.gz", mask)
+    for name in ("scaled.nii", "m.nii.gz"):
+        path = tmp_path / name
+        reads = _payload_reads(monkeypatch)
+        got = nm.label_components(nifti_io.open_volume(path))
+        assert reads[str(path)] == _payload_bytes(path)
+        want = nm.label_components(nm.read_volume(path))
+        assert np.array_equal(got.keys, want.keys)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.keys, np.sort(np.flatnonzero(mask.ravel())))
+
+
+def _nan_nodes(path):
+    data = _nodes().astype(np.float32)
+    data[data != 0] = np.nan
+    nm.write_volume(nm.Volume(data, SPACING, nm.identity_affine(SPACING), kind="scalar"), path)
+
+
+@pytest.mark.parametrize("command", ["cc", "measure", "eval-gt", "eval-pred"])
+def test_nan_voxels_exit_1(tmp_path, capsys, command):
+    # a scalar mask with NaN nodes gave cc "1 components" and eval a Dice of
+    # 100.0 against a 0/1 mask, with exit 0
+    nan, mask = tmp_path / "nan.nii", tmp_path / "mask.nii"
+    _nan_nodes(nan)
+    _write(mask, _nodes())
+    args = {"cc": ["cc", "--mask", str(nan), "--out-summary", str(tmp_path / "o.json")],
+            "measure": ["measure", "--mask", str(nan), "--out", str(tmp_path / "o.csv")],
+            "eval-gt": ["eval", "--gt", str(nan), "--pred", str(mask),
+                        "--out-json", str(tmp_path / "o.json")],
+            "eval-pred": ["eval", "--gt", str(mask), "--pred", str(nan),
+                          "--out-json", str(tmp_path / "o.json")]}[command]
+    assert main(args) == 1
+    assert f"{nan} holds NaN voxels" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mask.nii", "nan.nii"]
 
 
 @st.composite
