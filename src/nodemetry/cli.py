@@ -29,7 +29,7 @@ from . import fusion, metrics, morphometry, phantom
 from .components import Foreground, filter_components, label_components
 from .errors import NiftiFormatError, NodemetryError, ValidationError
 from .nifti_io import (Payload, VolumeFile, _replacing, open_volume, read_volume, volume_streams,
-                       write_volume)
+                       write_labels, write_volume)
 from .volume import Volume, assert_same_grid, canonicalize
 
 DEFAULT_LN_CLASS = 2
@@ -182,8 +182,7 @@ def _cmd_cc(args) -> int:
     cset = label_components(mask, args.connectivity)
     cset = filter_components(cset, args.min_voxels)
     if args.out_labels:
-        write_volume(mask.with_data(cset.component_of, kind="label",
-                                    class_count=cset.count + 1), args.out_labels)
+        write_labels(cset.keys, cset.labels, mask, args.out_labels)
     if args.out_summary:
         _write_json(_report(config, count=cset.count, sizes=[int(s) for s in cset.sizes]),
                     args.out_summary)
@@ -479,6 +478,8 @@ def _ln_mask(mask: VolumeFile, ln_class: int) -> VolumeFile:
 
 def _cmd_eval(args) -> int:
     metrics.check_eval_options(args.threshold_mm, args.match_min_overlap)
+    if args.ln_class < 0:  # no voxel holds it: two empty masks would score 100
+        raise ValidationError(f"--ln-class must be >= 0, got {args.ln_class}")
     jobs = _jobs(args)
     pairs = _pair_volumes(args)
     # the input flags are echoed as the pairs they resolve to
@@ -544,7 +545,6 @@ def _cmd_loss(args) -> int:
     [paths] = _prob_files(args.prob_dir, folds=False)
     probs = _read_prob_stack(paths)
     gt = read_volume(args.gt, kind="label")
-    gt = gt.with_data(gt.data, class_count=len(paths))
     value = metrics.composite_loss(probs, gt)
     if args.out_json:
         _write_json(_report(config, loss=value), args.out_json)

@@ -17,15 +17,15 @@ foreground, for sparse node annotations and dense fused label maps alike.
 
 Component ids follow first-voxel scan order (lexicographic over i, j, k),
 which makes the partition deterministic and directly comparable with a
-flood-fill reference. A ComponentSet carries its foreground voxels as sorted
+flood-fill reference. A ComponentSet is its foreground voxels as sorted
 C-order linear keys (which is scan order) with their component ids, so
 overlaps between two sets are a key intersection, not a grid pass; voxel
-coordinates are derived from the keys when asked for.
+coordinates, and the grid of component ids, are derived from the keys when
+first asked for.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,39 +45,38 @@ def _as_mask(mask) -> np.ndarray:
     return data
 
 
-def _index_dtype(count: int) -> np.dtype:
-    if count <= np.iinfo("u1").max:
-        return np.dtype("u1")
-    if count <= np.iinfo("u2").max:
-        return np.dtype("u2")
-    return np.dtype("i4")
-
-
 @dataclass(eq=False)
 class ComponentSet:
-    """Partition of a binary mask into connected components.
+    """Partition of a binary mask, on a grid of the given shape, into components.
 
-    component_of holds the component index per voxel (0 = background);
-    indices 1..count are assigned in first-voxel scan order. keys and labels
-    list the foreground voxels in scan order: their C-order linear indices
-    on the grid (ascending) and their component indices.
+    keys and labels list the foreground voxels in scan order: their C-order
+    linear indices on the grid (ascending) and their component indices,
+    1..count, assigned in first-voxel scan order.
     """
 
     count: int
-    component_of: np.ndarray
+    shape: tuple[int, int, int]
     sizes: np.ndarray  # voxel count per component, sizes[i-1] for component i
     connectivity: int
     keys: np.ndarray  # (n,) int64, strictly ascending
-    labels: np.ndarray  # (n,) component index per voxel, dtype of component_of
+    labels: np.ndarray  # (n,) component index per voxel, the smallest dtype that holds count
 
     def __post_init__(self):
-        for arr in (self.component_of, self.sizes, self.keys, self.labels):
+        for arr in (self.sizes, self.keys, self.labels):
             arr.setflags(write=False)
 
     @property
     def coords(self) -> np.ndarray:
         """(n, 3) int32 voxel indices of the foreground, in scan order."""
-        return _unravel(self.keys, self.component_of.shape)
+        return _unravel(self.keys, self.shape)
+
+    @cached_property
+    def component_of(self) -> np.ndarray:
+        """Read-only Fortran-ordered grid of component ids (0 = background), built on first read."""
+        out = np.zeros(self.shape, self.labels.dtype, order="F")
+        out[tuple(self.coords.T)] = self.labels
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def _grouped(self) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +85,7 @@ class ComponentSet:
         order = np.argsort(self.labels, kind="stable")
         starts = np.zeros(self.count + 1, dtype=np.int64)
         np.cumsum(self.sizes, out=starts[1:])
-        return _unravel(self.keys[order], self.component_of.shape), starts
+        return _unravel(self.keys[order], self.shape), starts
 
     def voxels(self, index: int) -> np.ndarray:
         """(n, 3) voxel indices of component `index` (1-based), in scan order."""
@@ -103,22 +102,9 @@ class ComponentSet:
 def _component_set(shape, keys: np.ndarray, labels: np.ndarray, count: int,
                    connectivity: int) -> ComponentSet:
     """ComponentSet from the scan-ordered foreground keys and their labels."""
-    coords = _unravel(keys, shape)
     sizes = np.bincount(labels, minlength=count + 1)[1:].astype(np.int64)
-    out = _zeros(shape, _index_dtype(count))
-    out[coords[:, 0], coords[:, 1], coords[:, 2]] = labels
-    return ComponentSet(count, out, sizes, connectivity, keys, labels.astype(out.dtype))
-
-
-def _zeros(shape, dtype: np.dtype) -> np.ndarray:
-    """A zero grid in Fortran order (it keeps later NIfTI writes a straight
-    memcpy) that holds memory only where it is written: private anonymous
-    pages, which read as the shared zero page until written, without the
-    huge-page advice NumPy gives large arrays, so labels on a few slices of a
-    CT grid commit a few 4 KiB pages, not 2 MiB ones."""
-    count = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(count, 1) * dtype.itemsize, flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype, count=count).reshape(shape, order="F")
+    return ComponentSet(count, tuple(shape), sizes, connectivity, keys,
+                        labels.astype(np.min_scalar_type(count)))
 
 
 def _unravel(keys: np.ndarray, shape) -> np.ndarray:
@@ -310,5 +296,5 @@ def filter_components(cset: ComponentSet, min_voxels: int = 1) -> ComponentSet:
     remap[1:][keep] = np.arange(1, new_count + 1)
     labels = remap[cset.labels]
     kept = labels != 0
-    return _component_set(cset.component_of.shape, cset.keys[kept], labels[kept],
+    return _component_set(cset.shape, cset.keys[kept], labels[kept],
                           new_count, cset.connectivity)

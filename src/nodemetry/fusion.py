@@ -136,6 +136,8 @@ def fuse(anatomy, ln_mask: Volume, spec: FusionSpec) -> Volume:
 
 def extract_class(labels: Volume, class_id: int) -> Volume:
     """Binary mask of voxels equal to class_id (0 gives the background mask)."""
+    if class_id < 0:
+        raise ValidationError(f"negative class id {class_id}")
     if labels.class_count is not None and class_id >= labels.class_count:
         raise ValidationError(
             f"class id {class_id} outside declared class count {labels.class_count}"

@@ -117,8 +117,8 @@ def composite_loss(probs: Volume, gt: Volume) -> float:
         raise ValidationError(
             f"class counts differ: probs {n_classes}, gt {gt.class_count}"
         )
-    if gt.data.size and int(gt.data.max()) >= n_classes:
-        raise ValidationError("gt label outside the probability class range")
+    if gt.data.size and (hi := int(gt.data.max())) >= n_classes:
+        raise ValidationError(f"gt label {hi} outside the {n_classes} probability classes")
 
     _check_probabilities(probs.data)
     total = 0.0

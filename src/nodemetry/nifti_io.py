@@ -21,7 +21,8 @@ reports every byte as data. Both go through one payload reader (Payload),
 with the same checks; a command that streams many files at once holds one
 Payload per file.
 Every file is written through volume_streams, a piece at a time (deflated,
-or with holes for a .nii); write_volume feeds it chunks of whole z-slices.
+or with holes for a .nii); write_volume feeds it chunks of whole z-slices of
+a grid, write_labels such chunks built from the keys of a label grid.
 """
 
 from __future__ import annotations
@@ -515,12 +516,6 @@ class VolumeFile:
         return replace(self, perm=tuple(self.perm[p] for p in perm),
                        flips=tuple(f != self.flips[p] for p, f in zip(perm, flips)))
 
-    def with_data(self, data: np.ndarray, kind: str | None = None,
-                  class_count: int | None = None) -> Volume:
-        """A Volume on this grid holding data."""
-        return Volume(data, self.spacing, self.affine, kind=kind or self.kind,
-                      class_count=class_count, description=self.description)
-
     def chunks(self) -> Iterator[tuple[int, int, np.ndarray | None]]:
         """The voxels, decoded as read_volume decodes them, in Fortran-ordered
         chunks of whole z-slices of the file's grid, front to back, each as
@@ -558,13 +553,12 @@ def open_volume(path) -> VolumeFile:
     return VolumeFile(path, header, _parse_header(header, path)[0])
 
 
-def _storage_dtype(volume: Volume) -> np.dtype:
-    data = volume.data
-    if volume.kind == "probability":
+def _storage_dtype(data: np.ndarray, kind: str) -> np.dtype:
+    if kind == "probability":
         raise ValidationError(
             "probability volumes are stored one class per file; write each class grid"
         )
-    if volume.kind == "label":
+    if kind == "label":
         if data.dtype.kind == "i" and data.size and int(data.min()) < 0:
             # stored as u1 or i4 it would read back as a different class id
             raise ValidationError(f"label grid holds negative value {int(data.min())}")
@@ -656,13 +650,31 @@ def write_volume(volume: Volume, path) -> None:
     storage dtype on its own. Labels are stored as uint8 while the class ids
     fit one byte. read_volume(write_volume(v)) reproduces voxel data bitwise
     for all supported datatypes."""
-    dtype = _storage_dtype(volume)
+    dtype = _storage_dtype(volume.data, volume.kind)
     nx, ny, nz = volume.dims
     step = max(1, _SCAN_CHUNK // (nx * ny * dtype.itemsize))
     with volume_streams([path], volume, dtype, volume.kind, volume.description) as [stream]:
         for z in range(0, nz, step):
             # a Fortran-ordered chunk's transpose is the C-ordered buffer of its bytes
             stream.write(np.asfortranarray(volume.data[:, :, z:z + step], dtype=dtype).T)
+
+
+def write_labels(keys: np.ndarray, labels: np.ndarray, grid, path) -> None:
+    """Write, as write_volume would, the label grid on grid (dims, spacing, affine,
+    description) whose nonzero voxels have the C-order linear keys and the
+    labels given, building each chunk of whole z-slices from the voxels in it."""
+    dtype = _storage_dtype(labels, "label")
+    nx, ny, nz = grid.dims
+    offsets = np.ravel_multi_index(np.unravel_index(keys, grid.dims), grid.dims, order="F")
+    order = np.argsort(offsets)
+    offsets, labels = offsets[order], labels[order]
+    chunk = np.zeros(min(nz, max(1, _SCAN_CHUNK // (nx * ny * dtype.itemsize))) * nx * ny, dtype)
+    with volume_streams([path], grid, dtype, "label", grid.description) as [stream]:
+        for start in range(0, nx * ny * nz, len(chunk)):
+            a, b = np.searchsorted(offsets, (start, start + len(chunk)))
+            chunk[offsets[a:b] - start] = labels[a:b]
+            stream.write(chunk[:nx * ny * nz - start])
+            chunk[offsets[a:b] - start] = 0  # the next chunk starts from zeros
 
 
 @contextmanager

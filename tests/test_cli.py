@@ -193,6 +193,30 @@ def test_eval_rejects_out_of_range_option(tmp_path, capsys, option):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ln_class", ["-1", "-254"])
+@pytest.mark.parametrize("source", ["gt-pred", "manifest"])
+def test_eval_rejects_negative_ln_class_before_reading(tmp_path, capsys, source, ln_class):
+    # no voxel of a multi-class pair holds a negative class: both masks came
+    # out empty and the pair scored "Dice (All LN): 100.0" with exit 0
+    gt = two_node_arr() * 2
+    gt[0:3, 0:3, 0:3] = 1
+    pred = np.where(gt == 2, 0, gt).astype(np.uint8)
+    write_mask(tmp_path / "g.nii.gz", gt)
+    write_mask(tmp_path / "p.nii.gz", pred)
+    manifest = tmp_path / "pairs.csv"
+    # a pair that cannot be read would exit 2 if any file were read
+    manifest.write_text(f"pat1,{tmp_path/'g.nii.gz'},{tmp_path/'p.nii.gz'}\n"
+                        f"pat2,{tmp_path/'missing.nii.gz'},{tmp_path/'p.nii.gz'}\n")
+    inputs = {"gt-pred": ["--gt", str(tmp_path / "g.nii.gz"), "--pred", str(tmp_path / "p.nii.gz")],
+              "manifest": ["--manifest", str(manifest)]}[source]
+    out_json = tmp_path / "report.json"
+    assert main(["eval", *inputs, "--ln-class", ln_class, "--out-json", str(out_json)]) == 1
+    captured = capsys.readouterr()
+    assert f"--ln-class must be >= 0, got {ln_class}" in captured.err
+    assert "Dice" not in captured.out
+    assert not out_json.exists()
+
+
 def test_eval_checks_options_before_reading(tmp_path, monkeypatch):
     # a bad threshold is rejected before any grid is read or labeled
     import nodemetry.cli as cli
@@ -414,6 +438,22 @@ def test_loss_command(tmp_path, capsys):
     assert "loss:" in printed
     value = json.loads(out_json.read_text())["loss"]
     assert value == pytest.approx(np.log(2.0) + 0.5, abs=1e-3)
+
+
+def test_loss_rejects_gt_label_outside_the_classes(tmp_path, capsys):
+    shape = (4, 4, 4)
+    labels = np.zeros(shape, np.uint8)
+    labels[1, 2, 3] = 5
+    prob_dir = tmp_path / "probs"; prob_dir.mkdir()
+    for c in range(3):
+        vol = make_volume(np.full(shape, 1 / 3, np.float32), kind="scalar")
+        nm.write_volume(vol, prob_dir / f"class{c}.nii.gz")
+    write_mask(tmp_path / "gt.nii.gz", labels)
+    out_json = tmp_path / "loss.json"
+    assert main(["loss", "--prob-dir", str(prob_dir), "--gt", str(tmp_path / "gt.nii.gz"),
+                 "--out-json", str(out_json)]) == 1
+    assert "gt label 5 outside the 3 probability classes" in capsys.readouterr().err
+    assert not out_json.exists()
 
 
 def test_loss_rejects_nan_probabilities(tmp_path):

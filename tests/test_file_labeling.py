@@ -19,6 +19,7 @@ import nodemetry as nm
 from nodemetry import cli, metrics, morphometry, nifti_io
 from nodemetry.cli import main
 from conftest import child_rss_kb
+from oracles import flood_fill_components
 from test_nifti import build_nifti_bytes
 
 SHAPE = (11, 9, 13)
@@ -123,9 +124,9 @@ def _old_ln_mask(vol, ln_class):
     return vol if binary else nm.extract_class(vol, ln_class)
 
 
-def _expected_cc(path, out):
+def _expected_cc(path, out, min_voxels=1):
     vol = nm.read_volume(path)
-    cset = nm.label_components(vol)
+    cset = nm.filter_components(nm.label_components(vol), min_voxels)
     nm.write_volume(vol.with_data(cset.component_of, kind="label",
                                   class_count=cset.count + 1), out)
     return {"count": cset.count, "sizes": [int(s) for s in cset.sizes]}
@@ -477,8 +478,8 @@ def test_bad_gzip_exits_2_without_output(tmp_path, capsys, command, broken, faul
 
 def test_cc_and_eval_hold_no_whole_grid(tmp_path):
     # what a child holds beyond its imports is its foreground's keys (a few
-    # tens of bytes per voxel), a chunk buffer and the labeled pages of
-    # component_of: far below half a grid for nodes of 6400 voxels each
+    # tens of bytes per voxel), a chunk buffer and, for cc, one chunk of the
+    # labels it writes: far below half a grid for nodes of 6400 voxels each
     shape = (256, 256, 400)
     gt = np.zeros(shape, np.uint8, order="F")
     for z in (40, 150, 260, 370):
@@ -519,3 +520,96 @@ def test_cc_out_labels_holds_no_whole_grid_copy(tmp_path):
         peak = cc("--out-labels", name)
         assert nm.read_header(tmp_path / name).datatype_code == 8
         assert peak < base + 8 * 1024, (name, peak, base)
+
+
+def _lattice(a, b, c):
+    """a * b * c components on a (2a, 2b, 4c) grid: a voxel at every
+    (2x, 2y, 4z), grown along z into a rod of 3 voxels where x is even."""
+    data = np.zeros((2 * a, 2 * b, 4 * c), np.uint8)
+    data[::2, ::2, ::4] = 1
+    data[::4, ::2, 1::4] = 1
+    data[::4, ::2, 2::4] = 1
+    return data
+
+
+# the range of each mask's component count at --min-voxels 1 and 3, and the mask
+CC_MASKS = {
+    "0": ((0, 0), lambda: np.zeros(SHAPE, np.uint8)),
+    "1-255": ((1, 255), _nodes),
+    "256-65535": ((256, 65535), lambda: _lattice(20, 20, 2)),
+    "over-65535": ((65536, np.inf), lambda: _lattice(64, 64, 33)),
+}
+
+
+@pytest.mark.parametrize("affine", ["identity", "permuted-flipped"])
+@pytest.mark.parametrize("min_voxels", [1, 3])
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("count", list(CC_MASKS))
+def test_cc_out_labels_equal_the_component_grid_written_whole(tmp_path, monkeypatch, count,
+                                                              suffix, min_voxels, affine):
+    # cc writes its labels from the keys, a chunk of z-slices at a time, in
+    # the file's own voxel order: the bytes of the whole component grid
+    # written by write_volume, uint8 up to 255 components and int32 above
+    monkeypatch.setattr(nifti_io, "_SCAN_CHUNK", 300)  # chunks of 1 or 3 slices
+    (lo, hi), make = CC_MASKS[count]
+    mask, out = tmp_path / f"mask{suffix}", tmp_path / f"cc{suffix}"
+    want = tmp_path / "want" / out.name  # a .gz header names its file
+    want.parent.mkdir()
+    _write(mask, make(), _permuted_flipped_affine() if affine != "identity" else None)
+    assert main(["cc", "--mask", str(mask), "--min-voxels", str(min_voxels),
+                 "--out-labels", str(out), "--out-summary", str(tmp_path / "cc.json")]) == 0
+    summary = _expected_cc(mask, want, min_voxels)
+    assert out.read_bytes() == want.read_bytes()
+    got = json.loads((tmp_path / "cc.json").read_text())
+    assert (got["count"], got["sizes"]) == (summary["count"], summary["sizes"])
+    assert lo <= summary["count"] <= hi
+    assert nm.read_header(out).datatype_code == (2 if summary["count"] <= 255 else 8)
+
+
+def test_no_command_builds_the_component_grid(tmp_path, monkeypatch):
+    # a ComponentSet is its keys and labels: labeling a file or an array,
+    # filtering, measuring and evaluating never build its grid of ids
+    gt, pred = tmp_path / "gt.nii", tmp_path / "pred.nii"
+    _write(gt, _nodes())
+    _write(pred, _pred(_nodes()))
+    made = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            made.append(fn(*args, **kwargs))
+            return made[-1]
+        return wrapper
+
+    for module in (cli, metrics):
+        monkeypatch.setattr(module, "label_components", recorded(nm.label_components))
+    monkeypatch.setattr(cli, "filter_components", recorded(nm.filter_components))
+    assert main(["cc", "--mask", str(gt), "--min-voxels", "2",
+                 "--out-labels", str(tmp_path / "cc.nii")]) == 0
+    assert main(["measure", "--mask", str(gt), "--out", str(tmp_path / "m.csv")]) == 0
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
+    vol = nm.canonicalize(nm.read_volume(gt))
+    made.append(nm.label_components(nifti_io.open_volume(gt)))
+    made.append(nm.label_components(vol.data))
+    morphometry.measure_components(made[-1], vol)
+    metrics.evaluate_patient(vol, nm.read_volume(pred))
+    assert len(made) == 9  # cc 2, measure 1, eval 2, then 2 + 2 here
+    assert all(cset.count for cset in made)
+    assert not [cset for cset in made if "component_of" in cset.__dict__]
+
+
+@pytest.mark.parametrize("min_voxels", [1, 2])
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_component_grid_is_built_once_read_only_from_the_keys(connectivity, min_voxels):
+    mask = _nodes() != 0
+    cset = nm.filter_components(nm.label_components(mask, connectivity), min_voxels)
+    assert "component_of" not in cset.__dict__
+    grid = cset.component_of
+    assert grid is cset.component_of
+    assert grid.flags.f_contiguous and not grid.flags.writeable
+    assert grid.shape == cset.shape == SHAPE and grid.dtype == cset.labels.dtype
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0, 0, 0] = 1
+    want = flood_fill_components(mask, connectivity)
+    kept = np.flatnonzero(np.bincount(want.ravel())[1:] >= min_voxels) + 1
+    want = np.where(np.isin(want, kept), np.searchsorted(kept, want) + 1, 0)
+    assert np.array_equal(grid, want)

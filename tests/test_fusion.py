@@ -123,6 +123,17 @@ def test_extract_absent_class_empty():
     assert not nm.extract_class(fused, 3).data.any()
 
 
+@pytest.mark.parametrize("class_count", [None, 5])
+@pytest.mark.parametrize("class_id", [-1, -254])
+def test_extract_negative_class_rejected(class_count, class_id):
+    # no voxel holds a negative id: the mask came out empty, and two empty
+    # masks score a perfect Dice
+    labels = make_volume(np.array([[[0, 1], [2, 4]]], np.uint8), kind="label",
+                         class_count=class_count)
+    with pytest.raises(nm.ValidationError, match=f"negative class id {class_id}"):
+        nm.extract_class(labels, class_id)
+
+
 def test_extract_background_is_complement():
     spec = nm.parse_fusion_spec(SMALL_SPEC)
     fused = nm.fuse([], binary((3, 3, 3), [(0, 0, 0), (1, 2, 1)]), spec)
