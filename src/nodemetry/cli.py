@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -28,8 +29,8 @@ from . import ensemble as ens
 from . import fusion, metrics, morphometry, phantom
 from .components import Foreground, filter_components, label_components
 from .errors import NiftiFormatError, NodemetryError, ValidationError
-from .nifti_io import (Payload, VolumeFile, _replacing, open_volume, read_volume, volume_streams,
-                       write_labels, write_volume)
+from .nifti_io import (DTYPE_FOR_CODE, Payload, VolumeFile, _replacing, open_volume, read_volume,
+                       volume_streams, write_labels, write_volume)
 from .volume import Volume, assert_same_grid, canonicalize
 
 DEFAULT_LN_CLASS = 2
@@ -241,14 +242,15 @@ def _cmd_ensemble(args) -> int:
         try:
             with volume_streams(targets, grid, np.dtype(np.float32), "scalar", "") as streams:
                 labels = _stream_mean(readers, streams)
+                # whole, so that its storage dtype follows write_volume's rule, and
+                # before the means are renamed, so that a failed write leaves none
+                write_volume(Volume(labels, grid.spacing, grid.affine, kind="label",
+                                    class_count=classes), args.out)
         except BaseException:
             for d in made:  # deepest first: no directory that this run made is left
                 with suppress(OSError):
                     d.rmdir()
             raise
-    # written last, whole, so that its storage dtype follows write_volume's rule
-    write_volume(Volume(labels, grid.spacing, grid.affine, kind="label", class_count=classes),
-                 args.out)
     print(f"averaged {len(paths)} folds x {classes} classes -> {args.out}")
     return 0
 
@@ -425,55 +427,51 @@ class _LnForeground(Foreground):
 
     A label file whose nonzero voxels all hold 1, or all hold 255, is a
     binary mask (nonzero is foreground, as everywhere downstream; many tools
-    store masks as 0/255). Any other is multi-class and gives up its ln_class
-    voxels. Every nonzero voxel is kept while the file looks binary; those
-    all hold one value, so when a chunk shows the file multi-class they stay
-    if that value is ln_class, give way to the zero voxels before the chunk
-    if ln_class is 0, and go otherwise.
+    store masks as 0/255), as is an all-zero file. Any other is multi-class
+    and gives up its ln_class voxels, for ln_class 0 the complement of its
+    nonzero voxels among the size voxels of its grid. Every nonzero voxel is
+    kept while the file looks binary; those all hold one value, so when a
+    chunk shows the file multi-class they stay if ln_class is 0 or that
+    value, and go otherwise.
     """
 
-    def __init__(self, ln_class: int):
+    def __init__(self, ln_class: int, size: int):
         super().__init__()
-        self.ln_class = ln_class
+        self.ln_class, self.size = ln_class, size
         self.value = None  # the one nonzero value seen while the file looks binary
         self.binary = True
 
     def add(self, keys, chunk, start):
-        flat = chunk.ravel(order="F")
-        values = flat[keys - start]
+        values = chunk.ravel(order="F")[keys - start]
         if self.binary and values.size:
             hi = values.max()
             if values.min() == hi and hi in (1, 255) and self.value in (None, hi):
                 self.value = hi
             else:
-                self._multi_class(start)
-        if self.binary:
+                self.binary = False
+                if self.ln_class not in (0, self.value):
+                    self._parts = []
+        if self.binary or self.ln_class == 0:
             self._parts.append(keys)
-        elif self.ln_class == 0:
-            self._parts.append(np.flatnonzero(flat == 0) + start)
         else:
             self._parts.append(keys[values == self.ln_class])
 
-    def zeros(self, start, stop):
-        # a hole of the file: zero voxels, kept only by a multi-class ln_class 0
-        if not self.binary and self.ln_class == 0:
-            self._parts.append(np.arange(start, stop))
-
-    def _multi_class(self, start: int) -> None:
-        """The file is multi-class: keep only the ln_class voxels before start."""
-        self.binary = False
-        if self.ln_class == 0:
-            self._parts = [np.setdiff1d(np.arange(start), self.keys(), assume_unique=True)]
-        elif self.ln_class != self.value:
-            self._parts = []
+    def keys(self):
+        keys = super().keys()
+        if self.binary or self.ln_class != 0:
+            return keys
+        zero = np.ones(self.size, dtype=bool)
+        zero[keys] = False
+        return np.flatnonzero(zero)
 
 
 def _ln_mask(mask: VolumeFile, ln_class: int) -> VolumeFile:
-    """The lymph-node mask of an eval input: a label file is binary or gives
-    up ln_class (_LnForeground); any other file's nonzero voxels."""
-    if mask.kind != "label":
+    """The lymph-node mask of an eval input: an unscaled integer file is a
+    label file, binary or giving up ln_class (_LnForeground); a float or
+    scaled file's nonzero voxels."""
+    if mask.info.scaled or DTYPE_FOR_CODE[mask.info.datatype_code] == "f4":
         return mask
-    return replace(mask, foreground=partial(_LnForeground, ln_class))
+    return replace(mask, foreground=partial(_LnForeground, ln_class, math.prod(mask.info.dims)))
 
 
 def _cmd_eval(args) -> int:

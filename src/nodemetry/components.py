@@ -4,12 +4,12 @@ Every labeling makes one pass over the mask, in chunks of whole slabs along
 its slowest memory axis (axial slices for the Fortran-ordered grids read
 from disk): an in-memory grid is one chunk, a file (nifti_io.VolumeFile) is
 read chunk by chunk into one reused buffer, so labeling a file never holds
-its grid, and a chunk that lies in a hole of the file is neither read nor
-scanned. Per chunk, an occupancy scan finds the slabs holding any
-foreground, and the nonzero voxels are found only inside the runs of
-occupied slabs, through a bool mask of each run. A float mask that holds
-NaN there is rejected: NaN is neither foreground nor background. The
-foreground keys are then put in the labeled grid's scan order (for a
+its grid; nifti_io passes over the chunks that lie in holes of the file, so
+they are neither read nor scanned. Per chunk, an occupancy scan finds the
+slabs holding any foreground, and the nonzero voxels are found only inside
+the runs of occupied slabs, through a bool mask of each run. A float mask
+that holds NaN there is rejected: NaN is neither foreground nor background.
+The foreground keys are then put in the labeled grid's scan order (for a
 canonicalized file, by permuting and flipping their coordinates) and
 labeled as runs along rows joined by a union-find (run-based labeling, He,
 Chao & Suzuki, IEEE TIP 2008), in NumPy only, at a cost that scales with the
@@ -81,7 +81,7 @@ class ComponentSet:
     @cached_property
     def _grouped(self) -> tuple[np.ndarray, np.ndarray]:
         # voxels grouped by component, each group in scan order (stable sort);
-        # built on first use, since only morphometry walks components
+        # built on first use of voxels(), which no command calls
         order = np.argsort(self.labels, kind="stable")
         starts = np.zeros(self.count + 1, dtype=np.int64)
         np.cumsum(self.sizes, out=starts[1:])
@@ -152,7 +152,9 @@ def _chunk_keys(chunk: np.ndarray, source) -> np.ndarray:
 
 class Foreground:
     """The foreground of a labeling pass, gathered chunk by chunk: every
-    nonzero voxel. A subclass can pick other voxels from the chunks."""
+    nonzero voxel. A subclass can pick other voxels from the chunks; a pass
+    over a file gives only the chunks it reads, and every voxel outside them
+    is zero."""
 
     def __init__(self):
         self._parts: list[np.ndarray] = []
@@ -161,10 +163,6 @@ class Foreground:
         """Take a chunk: keys are the memory-order offsets, on the whole
         grid, of its nonzero voxels; start is the offset of its first."""
         self._parts.append(keys)
-
-    def zeros(self, start: int, stop: int) -> None:
-        """Take a chunk that was not read, a hole of its file: the voxels at
-        memory-order offsets start..stop-1 are all zero."""
 
     def keys(self) -> np.ndarray:
         """Ascending memory-order offsets of the foreground."""
@@ -191,24 +189,22 @@ def _foreground_keys(mask) -> tuple[np.ndarray, tuple]:
     """Ascending C-order keys of the foreground of a mask, and the shape of
     the grid they index, from one pass over its chunks.
 
-    A VolumeFile's chunks come from its file, in file order (one that lies in
-    a hole of the file comes unread, as a run of zeros), and its keys are put
-    in the order of its (perhaps canonical) grid; a Volume or array is one
-    chunk, its Fortran-contiguous view, and keeps its own order.
+    A VolumeFile's chunks come from its file, in file order (those that lie
+    in holes of the file are not read), and its keys are put in the order of
+    its (perhaps canonical) grid; a Volume or array is one chunk, its
+    Fortran-contiguous view, and keeps its own order.
     """
     if hasattr(mask, "chunks"):
         chunks, shape, perm, flips = mask.chunks(), mask.info.dims, mask.perm, mask.flips
         foreground, source = (mask.foreground or Foreground)(), mask.path
     else:
         f, transposed = _slab_view(_as_mask(mask))
-        chunks, shape = ((0, f.size, f),), f.shape
+        chunks, shape = ((0, f),), f.shape
         perm, flips = ((2, 1, 0) if transposed else (0, 1, 2)), (False,) * 3
         foreground, source = Foreground(), "mask"
-    for start, stop, chunk in chunks:
-        if chunk is None:
-            foreground.zeros(start, stop)
-        else:
-            foreground.add(_chunk_keys(chunk, source) + start, chunk, start)
+    for start, chunk in chunks:
+        foreground.add(_chunk_keys(chunk, source) + start, chunk, start)
+    chunk = None  # a view of the pass's read buffer: not held while the keys are joined
     return _scan_order(foreground.keys(), shape, perm, flips)
 
 

@@ -117,20 +117,14 @@ def fuse(anatomy, ln_mask: Volume, spec: FusionSpec) -> Volume:
     for _name, vol in anatomy:
         assert_same_grid(ln_mask, vol)
 
-    by_class: dict[int, np.ndarray] = {}
-    for name, vol in anatomy:
-        cid = spec.group_map[name]
-        m = vol.data != 0
-        by_class[cid] = m if cid not in by_class else (by_class[cid] | m)
-    ln = ln_mask.data != 0
-    by_class[spec.ln_class] = ln if spec.ln_class not in by_class else (by_class[spec.ln_class] | ln)
-
     dtype = np.uint8 if spec.class_count <= 255 else np.uint16
     out = np.zeros(ln_mask.dims, dtype=dtype, order="F")
-    for cid in spec.precedence:
-        m = by_class.get(cid)
-        if m is not None:
-            out[m] = cid
+    # painted in precedence order, lymph nodes last: every voxel ends with the
+    # highest-precedence class that covers it
+    rank = {cid: r for r, cid in enumerate(spec.precedence)}
+    for name, vol in sorted(anatomy, key=lambda pair: rank[spec.group_map[pair[0]]]):
+        out[vol.data != 0] = spec.group_map[name]
+    out[ln_mask.data != 0] = spec.ln_class
     return ln_mask.with_data(out, kind="label", class_count=spec.class_count + 1)
 
 

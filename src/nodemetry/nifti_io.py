@@ -17,9 +17,11 @@ z-slices into one reused buffer, so labeling a mask never holds its grid.
 A chunk of an unscaled .nii that lies wholly in a hole of the file (a run
 of zero blocks a .nii write left unwritten) is passed over unread: the
 file system is asked where the next data byte is, and one without holes
-reports every byte as data. Both go through one payload reader (Payload),
-with the same checks; a command that streams many files at once holds one
-Payload per file.
+reports every byte as data. Holes are this module's business alone: a pass
+gets only the chunks that were read, and every voxel outside them is zero.
+read_volume and VolumeFile go through one payload reader (Payload), with the
+same checks; a command that streams many files at once holds one Payload
+per file.
 Every file is written through volume_streams, a piece at a time (deflated,
 or with holes for a .nii); write_volume feeds it chunks of whole z-slices of
 a grid, write_labels such chunks built from the keys of a label grid.
@@ -516,14 +518,14 @@ class VolumeFile:
         return replace(self, perm=tuple(self.perm[p] for p in perm),
                        flips=tuple(f != self.flips[p] for p, f in zip(perm, flips)))
 
-    def chunks(self) -> Iterator[tuple[int, int, np.ndarray | None]]:
+    def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The voxels, decoded as read_volume decodes them, in Fortran-ordered
         chunks of whole z-slices of the file's grid, front to back, each as
-        (start, stop, chunk): the memory-order offsets of its first voxel and
-        of the voxel after its last, and the chunk. Every chunk is a view of
-        one buffer that the next chunk overwrites. A chunk that lies wholly
-        in a hole of the file is None: it is not read, and its voxels are
-        zeros. The file must still have the header it was opened with."""
+        (start, chunk): the memory-order offset of its first voxel, and the
+        chunk. Every chunk is a view of one buffer that the next chunk
+        overwrites. A chunk that lies wholly in a hole of the file is passed
+        over unread: every voxel outside the chunks given is zero. The file
+        must still have the header it was opened with."""
         with open(self.path, "rb") as raw:
             payload = Payload(raw, self.path)
             if payload.header != self.header:
@@ -535,12 +537,9 @@ class VolumeFile:
             for z in range(0, nz, step):
                 depth = min(step, nz - z)
                 view = buf[:depth * slab]
-                start, stop = z * nx * ny, (z + depth) * nx * ny
-                if payload.skip_hole(len(view)):
-                    yield start, stop, None
-                else:
+                if not payload.skip_hole(len(view)):
                     payload.readinto(view)
-                    yield start, stop, payload.decode(view, (nx, ny, depth))
+                    yield z * nx * ny, payload.decode(view, (nx, ny, depth))
             payload.finish()
 
 

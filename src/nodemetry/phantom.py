@@ -176,8 +176,8 @@ def random_spec(dims, spacing_mm, n_nodes: int, seed: int,
 def parse_phantom_spec(text: str) -> PhantomSpec:
     """Parse the key-value phantom format: dims, spacing, seed and node lines.
 
-    Each `node =` line holds nine numbers: center x y z (mm), semiaxes a b c
-    (mm), rotation (deg); rotation may be omitted.
+    Each `node =` line holds six or seven numbers: center x y z (mm),
+    semiaxes a b c (mm), and an optional rotation (deg).
     """
     dims = spacing = None
     seed = 0

@@ -138,6 +138,29 @@ def test_eval_0_255_mask_is_binary(tmp_path, capsys):
     assert "Dice (All LN): 100.0" not in capsys.readouterr().out
 
 
+def test_eval_ln_class_holds_for_every_integer_label_file(tmp_path):
+    # int16 and int32 label files (the writer stores grids of more than 255
+    # classes as int32) counted every nonzero voxel as lymph node: the class 1
+    # structure was scored as a second GT node
+    gt = np.zeros((40, 40, 12), np.uint8)
+    gt[5:18, 5:18, 4:7] = 2
+    gt[25:35, 25:35, 2:10] = 1
+    pred = gt.copy()
+    pred[5:18, 5:18, 6] = 0
+    entries = []
+    for dtype, code in ((np.uint8, 2), (np.int16, 4), (np.int32, 8)):
+        d = tmp_path / np.dtype(dtype).name
+        d.mkdir()
+        for name, arr in (("g.nii", gt), ("p.nii", pred)):
+            nm.write_volume(make_volume(arr.astype(dtype), kind="scalar"), d / name)
+            assert nm.read_header(d / name).datatype_code == code
+        assert main(["eval", "--gt", str(d / "g.nii"), "--pred", str(d / "p.nii"),
+                     "--out-json", str(d / "eval.json")]) == 0
+        entries.append(json.loads((d / "eval.json").read_text())["patients"][0])
+    assert entries[0]["gt_node_count"] == 1
+    assert entries[1] == entries[0] and entries[2] == entries[0]
+
+
 def test_eval_manifest(tmp_path):
     arr = two_node_arr()
     write_mask(tmp_path / "g.nii.gz", arr)
@@ -818,14 +841,16 @@ def _break_sums(path):
     ({"fold0_class1": _break_sums, "fold2_class3": _break_crc}, 2, "fold2_class3"),
     ({"fold2_class3": _overlong}, 2, "fold2_class3"),
     ({"fold0_class1": _break_crc, "fold2_class3": _truncate}, 2, "fold0_class1"),
+    ({}, 2, "nodir"),
 ], ids=["truncated-last", "crc-last", "bad-sums", "bad-sums-then-crc", "over-long-last",
-        "crc-then-truncated"])
+        "crc-then-truncated", "missing-out-dir"])
 @pytest.mark.parametrize("cpus", ["one-cpu", "four-cpus"])
 def test_failed_stream_leaves_outputs_as_they_were(tmp_path, monkeypatch, capsys, cpus, faults,
                                                    code, named):
     # the last file ends mid-stream, or its CRC (checked once it is read to
-    # its end) is bad, or slab 2 holds bad sums: exit 2, 2 or 1, after some
-    # mean slabs were written; --out and --out-probs hold what they held,
+    # its end) is bad, or slab 2 holds bad sums, or every file is sound and
+    # --out names a missing directory: exit 2, 2, 1 or 2, after some mean
+    # slabs were written; --out and --out-probs hold what they held,
     # with no temp file. A file that cannot be read to its end is reported
     # before bad values in any file.
     CPU_SETUPS[cpus](monkeypatch)
@@ -840,7 +865,8 @@ def test_failed_stream_leaves_outputs_as_they_were(tmp_path, monkeypatch, capsys
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     new_dir = tmp_path / "new" / "probs"
     for out_probs in (out, new_dir):
-        assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(out / "merged.nii.gz"),
+        merged = (out if faults else tmp_path / "nodir") / "merged.nii.gz"
+        assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(merged),
                      "--out-probs", str(out_probs)]) == code
         assert named in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -115,8 +115,9 @@ def _path(tmp_path, case, name):
 
 
 def _old_ln_mask(vol, ln_class):
-    """eval's lymph-node mask as it was taken from a whole grid."""
-    if vol.kind != "label":
+    """eval's lymph-node mask as it was taken from a whole grid; an unscaled
+    integer file reads as an integer grid, a label grid."""
+    if vol.data.dtype.kind not in "iu":
         return vol
     data = vol.data
     hi = int(data.max())
@@ -325,20 +326,19 @@ def test_hole_chunks_are_not_read_and_change_no_output(tmp_path, monkeypatch, ca
 def test_chunks_after_hole_queries_hold_the_file_voxels(tmp_path, monkeypatch, where):
     # asking the file system for the next data byte moves the descriptor under
     # the buffered reader: every chunk read after a query must still hold the
-    # voxels at its offsets, and every skipped chunk must be zeros
+    # voxels at its offsets, and every voxel of a chunk passed over must be zero
     monkeypatch.setattr(nifti_io, "_HOLE", 4096)
     monkeypatch.setattr(nifti_io, "_SCAN_CHUNK", HOLE_SHAPE[0] * HOLE_SHAPE[1])
     path = tmp_path / "m.nii"
     _write(path, _holed(where, _multi_class(_nodes())))
     flat = nm.read_volume(path).data.ravel(order="F")
-    skipped = 0
-    for start, stop, chunk in nifti_io.open_volume(path).chunks():
-        if chunk is None:
-            skipped += 1
-            assert not flat[start:stop].any()
-        else:
-            assert np.array_equal(chunk.ravel(order="F"), flat[start:stop])
-    assert skipped > 0 or not _has_hole(path)
+    unread = np.ones(flat.size, dtype=bool)
+    for start, chunk in nifti_io.open_volume(path).chunks():
+        stop = start + chunk.size
+        assert np.array_equal(chunk.ravel(order="F"), flat[start:stop])
+        unread[start:stop] = False
+    assert not flat[unread].any()
+    assert unread.any() or not _has_hole(path)
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -443,6 +443,45 @@ def test_file_keys_equal_whole_grid_keys(tmp_path_factory, case, connectivity):
             assert np.array_equal(got.keys, want.keys)
             assert np.array_equal(got.labels, want.labels)
             assert np.array_equal(got.component_of, want.component_of)
+
+
+@st.composite
+def ln_label_files(draw):
+    """A 64x48xN grid of an integer dtype, holding boxes of 1, of 255 or of
+    mixed ids, the scl_slope it is stored with (0: unscaled), and the slices
+    per chunk of a pass over it."""
+    dtype = draw(st.sampled_from([np.uint8, np.int16, np.int32]))
+    ids = draw(st.sampled_from([[1], [255], [1, 2, 3, 255, 300]]))
+    ids = [i for i in ids if i <= np.iinfo(dtype).max]
+    data = np.zeros((64, 48, draw(st.integers(4, 12))), dtype)
+    for _ in range(draw(st.integers(0, 4))):
+        lo = [draw(st.integers(0, n - 1)) for n in data.shape]
+        hi = [draw(st.integers(a + 1, min(n, a + reach)))
+              for a, n, reach in zip(lo, data.shape, (32, 24, 4))]
+        data[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = draw(st.sampled_from(ids))
+    return data, draw(st.sampled_from([0.0, 2.0])), draw(st.integers(1, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=ln_label_files(), ln_class=st.sampled_from([0, 1, 2, 255, 300]))
+def test_ln_mask_keys_follow_the_whole_grid_rule(tmp_path_factory, case, ln_class):
+    # eval's lymph-node mask of a .nii with 4096-byte holes, which start
+    # mid-slice: every nonzero voxel where the file is scaled or its nonzero
+    # values are all 1, all 255 or absent, else the voxels holding ln_class
+    # (0: the zeros)
+    data, slope, depth = case
+    path = tmp_path_factory.mktemp("ln") / "m.nii"
+    with mock.patch.object(nifti_io, "_HOLE", 4096), \
+            mock.patch.object(nifti_io, "_SCAN_CHUNK", depth * 64 * 48 * data.itemsize):
+        _sparse_file(path, build_nifti_bytes(
+            dims=data.shape, datatype=nifti_io.CODE_FOR_DTYPE[data.dtype],
+            bitpix=8 * data.itemsize, pixdim=SPACING, slope=slope,
+            payload=data.tobytes(order="F")))
+        got = nm.label_components(cli._ln_mask(nifti_io.open_volume(path), ln_class)).keys
+    path.unlink()
+    values = np.unique(data[data != 0])
+    binary = slope or values.size == 0 or (values.size == 1 and values[0] in (1, 255))
+    assert np.array_equal(got, np.flatnonzero(data != 0 if binary else data == ln_class))
 
 
 def _gz_pair(tmp_path):
