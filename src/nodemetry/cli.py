@@ -221,8 +221,11 @@ def _cmd_ensemble(args) -> int:
     _config(args)
 
     if args.labels:
-        folds = ens.FoldSet(tuple(read_volume(p, kind="label") for p in args.labels),
-                            kind="label")
+        votes = []
+        for path in args.labels:
+            votes.append(read_volume(path, kind="label"))
+            _same_grid(args.labels[0], votes[0], path, votes[-1])
+        folds = ens.FoldSet(tuple(votes), kind="label")
         merged = ens.majority_vote(folds)
         write_volume(merged, args.out)
         print(f"majority vote over {len(folds)} label folds -> {args.out}")
@@ -255,6 +258,14 @@ def _cmd_ensemble(args) -> int:
     return 0
 
 
+def _same_grid(first_path, first, path, other) -> None:
+    """assert_same_grid(first, other), its error led by the two files' names."""
+    try:
+        assert_same_grid(first, other)
+    except NodemetryError as exc:
+        raise type(exc)(f"{first_path} vs {path}: {exc}") from exc
+
+
 def _first_fault(readers, exc: Exception) -> Exception:
     """exc, unless one of readers, read to its end in file order, raises first."""
     for reader in readers:
@@ -275,10 +286,7 @@ def _open_prob_files(paths: list[list[Path]], files: ExitStack) -> list[list[Pay
                 reader = Payload(files.enter_context(open(path, "rb")), path)
                 # a class file against its fold's first, a fold's first against fold 0's
                 ref = readers[-1][0] if c else (opened[0] if opened else reader)
-                try:
-                    assert_same_grid(ref.info, reader.info)
-                except NodemetryError as exc:
-                    raise type(exc)(f"{fold[0] if c else paths[0][0]} vs {path}: {exc}") from exc
+                _same_grid(fold[0] if c else paths[0][0], ref.info, path, reader.info)
             except (NodemetryError, OSError) as exc:
                 raise _first_fault(opened, exc) from None
             readers[-1].append(reader)

@@ -635,12 +635,24 @@ def _replacing(path: Path):
     block ends without error, removed when it raises."""
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "xb") as raw:
+        raw = open(tmp, "xb")
+    except OSError as exc:
+        raise _for_target(exc, path) from None
+    try:
+        with raw:
             yield raw
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _for_target(exc, path) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _for_target(exc: OSError, path: Path) -> OSError:
+    """exc as raised for path: the temporary's name is no file the caller knows."""
+    return type(exc)(exc.errno, exc.strerror, str(path))
 
 
 def write_volume(volume: Volume, path) -> None:

@@ -3,9 +3,9 @@
 Everything here is deliberately written from scratch against the published
 definitions (file-format field table, adjacency definitions, textbook
 formulas) and shares no code with the package: struct-based NIfTI parsing,
-deque flood fill, all-pairs hull construction, direction-sweep widths,
-per-voxel loss loops, per-voxel precedence replay, per-node dense-mask
-evaluation (which takes its node measurements as input).
+deque flood fill, all-pairs hull construction (float and integer),
+direction-sweep widths, per-voxel loss loops, per-voxel precedence replay,
+per-node dense-mask evaluation (which takes its node measurements as input).
 """
 
 from __future__ import annotations
@@ -172,6 +172,65 @@ def brute_hull_vertices(points: np.ndarray) -> set:
             verts.add(tuple(pts[i]))
             verts.update(tuple(p) for p in pts[hull_edge])
     return verts
+
+
+def lattice_hull(points) -> list:
+    """Counter-clockwise strict hull vertices of distinct integer points,
+    which must not all be collinear, by the all-pairs test: p -> q is a hull
+    edge when no point lies right of it and every point on its line lies
+    between p and q. Exact in int64 for coordinates far below 2**31."""
+    pts = np.asarray(points, dtype=np.int64)
+    after = {}
+    for p in pts:
+        rel = pts - p
+        # row q, column r: r against the edge p -> q
+        cross = rel[:, 0, None] * rel[:, 1] - rel[:, 1, None] * rel[:, 0]
+        along = rel[:, 0, None] * rel[:, 0] + rel[:, 1, None] * rel[:, 1]
+        between = (along >= 0) & (along <= np.diag(along)[:, None])
+        edge = np.all((cross > 0) | ((cross == 0) & between), axis=1) & rel.any(axis=1)
+        for q in pts[edge]:
+            after[tuple(p.tolist())] = tuple(q.tolist())
+    hull = [min(after)]
+    while after[hull[-1]] != hull[0]:
+        hull.append(after[hull[-1]])
+    return hull
+
+
+def lattice_slice_measure(ij, spacing) -> tuple:
+    """(width, long axis) in mm of one slice's voxels (rows of (i, j)) by the
+    documented lattice arithmetic: footprint corners in half-voxel integers
+    (2i +/- 1, 2j +/- 1), each hull edge, in lowest terms (ex, ey), of width
+    sx*sy*C / (2*hypot(ex*sx, ey*sy)) with C its largest cross product with a
+    vertex taken from the edge's start, the slice's width the smallest of
+    those, its long axis the largest hypot(dx*sx, dy*sy) / 2 over vertex
+    pairs. NumPy's hypot, as the library uses; math.hypot rounds differently
+    on some inputs."""
+    sx, sy = float(spacing[0]), float(spacing[1])
+    corners = {(2 * int(i) + di, 2 * int(j) + dj)
+               for i, j in ij for di in (-1, 1) for dj in (-1, 1)}
+    hull = lattice_hull(sorted(corners))
+    widths = []
+    for n, (px, py) in enumerate(hull):
+        qx, qy = hull[(n + 1) % len(hull)]
+        g = math.gcd(qx - px, qy - py)
+        ex, ey = (qx - px) // g, (qy - py) // g
+        c = max(ex * (vy - py) - ey * (vx - px) for vx, vy in hull)
+        length = np.hypot(np.int64(ex) * sx, np.int64(ey) * sy)
+        widths.append(float(sx * sy * np.int64(c) / (2 * length)))
+    far = max(float(np.hypot(np.int64(bx - ax) * sx, np.int64(by - ay) * sy))
+              for ax, ay in hull for bx, by in hull)
+    return min(widths), far / 2
+
+
+def lattice_node_measure(voxels, spacing) -> tuple:
+    """(sad_mm, sad_slice_index, long_axis_mm) of one node's voxels (rows of
+    (i, j, k)): the first slice of largest lattice width, and its long axis."""
+    best = (-1.0, -1, None)
+    for k in sorted({int(v[2]) for v in voxels}):
+        width, far = lattice_slice_measure([v[:2] for v in voxels if v[2] == k], spacing)
+        if width > best[0]:
+            best = (width, k, far)
+    return best
 
 
 def sweep_min_width(points: np.ndarray, n_dirs: int = 7200) -> float:

@@ -445,6 +445,41 @@ def test_report_write_error_keeps_old_report(tmp_path, monkeypatch, capsys, repo
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("output", ["cc-summary", "ensemble-out"])
+@pytest.mark.parametrize("fault, message", [("missing-dir", "No such file or directory"),
+                                            ("target-is-dir", "Is a directory")])
+def test_output_that_cannot_be_written_is_named_as_given(tmp_path, capsys, output, fault,
+                                                         message):
+    # a missing directory fails the temporary file's open, a directory in the
+    # target's place its rename: exit 2, naming the output as given rather
+    # than the hidden temporary file beside it, and leaving nothing behind
+    write_mask(tmp_path / "m.nii.gz", two_node_arr())
+    mask = str(tmp_path / "m.nii.gz")
+    name, argv = {
+        "cc-summary": ("x.json", ["cc", "--mask", mask, "--out-summary"]),
+        "ensemble-out": ("x.nii.gz", ["ensemble", "--labels", mask, mask, "--out"]),
+    }[output]
+    target = tmp_path / "nodir" / name if fault == "missing-dir" else tmp_path / name
+    if fault == "target-is-dir":
+        target.mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([*argv, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"{message}: '{target}'" in err
+    assert ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_ensemble_labels_grid_mismatch_names_both_files(tmp_path, capsys):
+    votes = [tmp_path / "vote0.nii.gz", tmp_path / "vote1.nii.gz"]
+    write_mask(votes[0], np.zeros((6, 5, 3), np.uint8))
+    write_mask(votes[1], np.zeros((6, 5, 4), np.uint8))
+    out = tmp_path / "merged.nii.gz"
+    assert main(["ensemble", "--labels", *map(str, votes), "--out", str(out)]) == 1
+    assert f"{votes[0]} vs {votes[1]}: dims differ on axis 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_loss_command(tmp_path, capsys):
     shape = (4, 4, 4)
     labels = np.zeros(shape, np.uint8); labels[:2] = 1

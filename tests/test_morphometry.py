@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import nodemetry as nm
 from nodemetry.morphometry import max_diameter
 from conftest import make_volume
-from oracles import brute_hull_vertices, sweep_min_width
+from oracles import brute_hull_vertices, lattice_node_measure, sweep_min_width
 
 
 def rect_points(w, h, angle_deg=0.0, n_extra=0, rng=None):
@@ -110,6 +110,11 @@ def test_width_regular_hexagon():
     assert nm.min_width(nm.convex_hull(hexagon)) == pytest.approx(math.sqrt(3.0))
 
 
+def test_max_diameter_empty_hull():
+    with pytest.raises(nm.EmptyInputError):
+        max_diameter(np.zeros((0, 2)))
+
+
 def test_width_degenerate():
     assert nm.min_width(np.array([[1.0, 2.0]])) == 0.0
     assert nm.min_width(np.array([[0.0, 0.0], [3.0, 0.0]])) == 0.0
@@ -179,6 +184,13 @@ def test_measure_tie_breaks_to_smallest_slice():
     assert m.sad_slice_index == 1
 
 
+def test_measure_node_takes_unsigned_indices():
+    # corners of index 0 lie at -1/2: unsigned indices must not wrap there
+    vol = make_volume(np.zeros((4, 4, 4), np.uint8), spacing=(0.9, 0.8, 1.0))
+    voxels = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1]])
+    assert nm.measure_node(voxels.astype(np.uint8), vol) == nm.measure_node(voxels, vol)
+
+
 def test_measure_empty_component():
     vol = make_volume(np.zeros((2, 2, 2), np.uint8))
     with pytest.raises(nm.EmptyInputError):
@@ -241,20 +253,13 @@ def test_sad_bounds(rng):
             assert meas.sad_mm <= max(diams) + 1e-12
 
 
-# -- measure_components against the per-slice reference ---------------------------
+# -- measure_components against the exact per-slice oracle -------------------
 
 def reference_measurement(voxels, volume, index):
-    """Per slice, the width of the hull of every footprint corner; the first
-    slice of largest width, and the long axis on it."""
-    spacing = volume.spacing[:2]
-    best_w, best_k, best_hull = -1.0, -1, None
-    for k in np.unique(voxels[:, 2]):
-        hull = nm.convex_hull(nm.slice_footprint(voxels[voxels[:, 2] == k, :2], spacing))
-        w = nm.min_width(hull)
-        if w > best_w:
-            best_w, best_k, best_hull = w, int(k), hull
-    return nm.NodeMeasurement(index, best_w, best_k, max_diameter(best_hull),
-                              len(voxels) * volume.voxel_volume_mm3, len(voxels))
+    """The lattice oracle's SAD, slice and long axis for one node."""
+    sad, k, far = lattice_node_measure(voxels.tolist(), volume.spacing[:2])
+    return nm.NodeMeasurement(index, sad, k, far, len(voxels) * volume.voxel_volume_mm3,
+                              len(voxels))
 
 
 def grid(shape, *boxes):
@@ -286,7 +291,11 @@ def node_masks(draw):
     return mask
 
 
-@settings(max_examples=300, deadline=None)
+# at least 300 examples; more under --hypothesis-profile=ci
+EXAMPLES = max(300, settings().max_examples)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(mask=node_masks(), connectivity=st.sampled_from((6, 18, 26)),
        spacing=st.sampled_from(((0.9, 0.8, 0.7), (1.0, 1.0, 1.25), (0.7, 1.1, 2.0),
                                 (0.3, 2.7, 1.0))))
@@ -304,6 +313,76 @@ def test_measure_components_equals_per_slice_reference(mask, connectivity, spaci
                    for i in range(1, cset.count + 1)]
     for i in range(1, cset.count + 1):
         assert nm.measure_node(cset.voxels(i), vol, i) == got[i - 1]
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(mask=node_masks(),
+       shift=st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 9)),
+       spacing=st.sampled_from(((0.9, 0.8, 0.7), (0.8, 0.8, 0.8), (0.7, 1.1, 2.0),
+                                (0.3, 2.7, 1.0))))
+@example(mask=EQUAL_WIDTHS, shift=(17, 29, 3), spacing=(0.9, 0.8, 0.7))
+def test_whole_voxel_shift_changes_no_measurement(mask, shift, spacing):
+    # lattice corners make a width depend only on the hull's shape, not on
+    # where it sits
+    moved = np.zeros(tuple(n + d for n, d in zip(mask.shape, shift)), np.uint8)
+    moved[tuple(slice(d, None) for d in shift)] = mask
+    measured = []
+    for m in (mask, moved):
+        vol = make_volume(m, spacing=spacing)
+        measured.append(nm.measure_components(nm.label_components(vol, 26), vol))
+    assert len(measured[0]) == len(measured[1])
+    for a, b in zip(*measured):
+        assert (b.sad_mm, b.long_axis_mm) == (a.sad_mm, a.long_axis_mm)
+        assert b.voxel_count == a.voxel_count
+        assert b.sad_slice_index == a.sad_slice_index + shift[2]
+
+
+def test_exact_8mm_box_is_large_wherever_it_sits():
+    # 10 voxels at 0.8 mm are 8.0 mm: the box belongs to the >= 8 mm stratum
+    # at every in-plane position, with one and the same SAD
+    spacing = (0.8, 0.8, 0.8)
+    sads = set()
+    for i0 in range(0, 30, 3):
+        for j0 in range(0, 126, 7):
+            mask = np.zeros((40, 135, 2), np.uint8)
+            mask[i0:i0 + 10, j0:j0 + 13, :] = 1
+            vol = make_volume(mask, spacing=spacing)
+            report = nm.evaluate_patient(vol, vol)
+            (node, _), = report.per_node
+            assert node.sad_mm >= 8.0, (i0, j0, node.sad_mm)
+            assert report.dice_large is not None
+            sads.add(node.sad_mm)
+    assert len(sads) == 1
+
+
+def test_cascading_peel_matches_oracle():
+    # a strictly convex low side, then a last row reaching far lower: each
+    # pass can drop only the low corner next to the ones dropped before, so
+    # the low side is peeled away one line per pass
+    mask = np.zeros((11, 61, 1), np.uint8)
+    for i in range(10):
+        mask[i, 40 + (i - 4) ** 2:61, 0] = 1
+    mask[10, :, 0] = 1
+    spacing = (0.9, 0.8, 1.0)
+    voxels = np.argwhere(mask)
+    vol = make_volume(mask, spacing=spacing)
+    assert nm.measure_node(voxels, vol) == reference_measurement(voxels, vol, 0)
+
+
+def test_parallel_edges_of_equal_width_tie_exactly():
+    # two diagonal bands 2 voxels thick, 5 and 4 diagonal steps long, on
+    # slices 0 and 1: their long edges have different lengths but one
+    # direction, and the widths taken from them are the same float
+    mask = np.zeros((7, 7, 2), np.uint8)
+    for k, steps in enumerate((5, 4)):
+        for i, j in np.ndindex(7, 7):
+            mask[i, j, k] = 0 <= i - j < 2 and 0 <= i + j < 2 * steps
+    voxels = np.argwhere(mask)
+    vol = make_volume(mask)
+    m = nm.measure_node(voxels, vol)
+    assert m == reference_measurement(voxels, vol, 0)
+    assert m.sad_slice_index == 0
+    assert m.sad_mm == pytest.approx(1.5 * math.sqrt(2.0))
 
 
 def test_equal_widths_keep_first_slice():
