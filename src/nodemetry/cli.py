@@ -17,7 +17,8 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, suppress
 from dataclasses import replace
 from functools import partial
@@ -31,7 +32,7 @@ from .components import Foreground, filter_components, label_components
 from .errors import NiftiFormatError, NodemetryError, ValidationError
 from .nifti_io import (DTYPE_FOR_CODE, Payload, VolumeFile, _replacing, open_volume, read_volume,
                        volume_streams, write_labels, write_volume)
-from .volume import Volume, assert_same_grid, canonicalize
+from .volume import Volume, assert_same_grid, canonicalize, check_probabilities
 
 DEFAULT_LN_CLASS = 2
 SCHEMA_VERSION = 1
@@ -39,7 +40,7 @@ SCHEMA_VERSION = 1
 PROB_STEM_RE = re.compile(r"(?:fold(\d+)_)?class(\d+)")
 
 # float32 bytes of each class file in one slab of whole z-slices (at least
-# one slice) that `ensemble --prob-dir` holds per fold
+# one slice) that `ensemble --prob-dir` reads at a time
 _SLAB_BYTES = 1 << 16
 
 
@@ -169,6 +170,8 @@ def _cmd_fuse(args) -> int:
     files = _nifti_files(args.anatomy_dir)
     anatomy = [(stem, read_volume(path, kind="label")) for stem, path in files.items()]
     ln_mask = read_volume(args.ln, kind="label")
+    for path, (_, vol) in zip(files.values(), anatomy):
+        _same_grid(args.ln, ln_mask, path, vol)
     fused = fusion.fuse(anatomy, ln_mask, spec)
     write_volume(fused, args.out)
     print(f"fused {len(anatomy)} structures + lymph nodes -> {args.out} "
@@ -202,17 +205,6 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _read_prob_stack(paths: list[Path]) -> Volume:
-    """Per-class scalar volumes on one grid, read as one whole-grid slab into
-    the class slots of a class-major (Fortran-ordered) probability volume."""
-    with ExitStack() as files:
-        [readers] = _open_prob_files([paths], files)
-        grid = readers[0].info
-        with _file_pool(len(paths)) as pool:
-            [(_, [stack])] = _read_slabs([readers], grid.dims[2], pool)
-    return Volume(stack, grid.spacing, grid.affine, kind="probability")
-
-
 def _cmd_ensemble(args) -> int:
     if bool(args.labels) == bool(args.prob_dir):
         raise ValidationError("ensemble needs either --labels files or --prob-dir")
@@ -233,13 +225,17 @@ def _cmd_ensemble(args) -> int:
 
     paths = _prob_files(args.prob_dir, folds=True)
     classes = len(paths[0])
+    out_dir = Path(args.out_probs) if args.out_probs else None
+    targets = [out_dir / f"mean_class{c}.nii.gz" for c in range(classes)] if out_dir else []
+    out = Path(args.out).resolve()
+    for path in (*targets, *(path for fold in paths for path in fold)):
+        if path.resolve() == out:  # a mean would replace the labels, or the labels an input
+            raise ValidationError(f"--out {args.out} is also {path}")
     with ExitStack() as files:
         readers = _open_prob_files(paths, files)
         grid = readers[0][0].info
-        targets, made = [], []
-        if args.out_probs:
-            out_dir = Path(args.out_probs)
-            targets = [out_dir / f"mean_class{c}.nii.gz" for c in range(classes)]
+        made = []
+        if out_dir:
             made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
         try:
@@ -266,9 +262,12 @@ def _same_grid(first_path, first, path, other) -> None:
         raise type(exc)(f"{first_path} vs {path}: {exc}") from exc
 
 
-def _first_fault(readers, exc: Exception) -> Exception:
-    """exc, unless one of readers, read to its end in file order, raises first."""
+def _first_fault(readers, exc: Exception, failed=None) -> Exception:
+    """exc, unless one of readers, read to its end in file order, raises
+    first; a reader whose read already raised (a key of failed) raises that."""
     for reader in readers:
+        if failed and reader in failed:
+            return failed[reader]
         reader.drain()
     return exc
 
@@ -294,76 +293,145 @@ def _open_prob_files(paths: list[list[Path]], files: ExitStack) -> list[list[Pay
     return readers
 
 
-def _read_slabs(readers: list[list[Payload]], depth: int, pool):
-    """(z, a class-major float32 stack per fold) for each slab of depth whole
-    z-slices of the class files, read on pool's threads while the caller
-    works on the slab before. The error raised is that of the first file in
-    file order that cannot be read to its end, then a ValidationError thrown
-    in at the yield; once a read fails, reads not yet started are cancelled."""
+def _class_slabs(readers: list[list[Payload]], depth: int, pool, ahead: int):
+    """(z, c, grids) for each slab of depth whole z-slices of the class files
+    and, within a slab, each class c in ascending order: grids holds class
+    c's slab of every fold, in fold order, as a Fortran-ordered float32
+    (nx, ny, d, folds) array. One pool task decodes each (slab, class). At
+    most ahead of them, and never two of one class, are in flight, and the
+    caller takes them in order, so each file is read front to back by one
+    thread at a time. The error raised is that of the first file in file
+    order that cannot be read to its end, else a ValidationError thrown in
+    at the yield; once one is found, reads not yet started are cancelled,
+    and those running end before any file is drained."""
     nx, ny, nz = readers[0][0].info.dims
     opened = [r for fold in readers for r in fold]
+    failed = {}
 
-    def read(z: int):
-        shape = (nx, ny, min(depth, nz - z), len(readers[0]))
-        stacks = [np.empty(shape, dtype=np.float32, order="F") for _ in readers]
-        return stacks, [pool.submit(r.decode_into, stacks[k][..., c])
-                        for k, fold in enumerate(readers) for c, r in enumerate(fold)]
+    def read(z: int, c: int) -> np.ndarray:
+        grids = np.empty((nx, ny, min(depth, nz - z), len(readers)), dtype=np.float32, order="F")
+        for k, fold in enumerate(readers):
+            try:
+                fold[c].decode_into(grids[..., k])
+            except (NodemetryError, OSError) as exc:
+                failed[fold[c]] = exc
+                raise
+        return grids
 
-    def check(futures) -> None:
-        for j, future in enumerate(futures):
-            if future.exception() is not None:
-                for later in futures[j + 1:]:
-                    later.cancel()
-                raise _first_fault(opened[:j], future.exception())
-
-    pending = read(0)
-    for z in range(0, nz, depth):
-        stacks, futures = pending
-        check(futures)
-        if z + depth < nz:
-            pending = read(z + depth)
+    tasks = [(z, c) for z in range(0, nz, depth) for c in range(len(readers[0]))]
+    window = min(ahead, len(readers[0]))
+    futures = deque(pool.submit(read, *task) for task in tasks[:window])
+    for i, (z, c) in enumerate(tasks):
         try:
-            yield z, stacks
-        except ValidationError as exc:
-            check(pending[1])  # a read error in the next slab comes first
-            raise _first_fault(opened, exc) from None
+            grids = futures.popleft().result()
+            if i + window < len(tasks):
+                futures.append(pool.submit(read, *tasks[i + window]))
+            yield z, c, grids
+        except (NodemetryError, OSError) as exc:
+            for later in futures:
+                later.cancel()
+            wait(futures)
+            raise _first_fault(opened, exc, failed) from None
+
+
+class _ClassSums:
+    """What a probability Volume checks of a class-major stack, gathered one
+    class grid at a time in class order: its least and greatest values (NaN
+    if any value is) and its per-voxel class sums, added in float64."""
+
+    def __init__(self):
+        self.lo = self.hi = self.sums = None
+
+    def add(self, grid: np.ndarray) -> None:
+        if self.sums is None:
+            self.lo, self.hi, self.sums = grid.min(), grid.max(), grid.astype(np.float64)
+        else:
+            self.lo, self.hi = np.minimum(self.lo, grid.min()), np.maximum(self.hi, grid.max())
+            self.sums += grid
+
+    def check(self) -> None:
+        check_probabilities(self.lo, self.hi, self.sums)
 
 
 def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
-    """The fold-averaged argmax labels of the class files, slab by slab
-    (_read_slabs), each class's mean slab written to its stream. Each slab
-    goes through the whole-grid functions (probability Volumes with their
-    range and class-sum checks, ens.average_probabilities, ens.argmax_labels),
-    so every voxel gets the same arithmetic as in one pass over whole grids.
-    One pool reads slab s+1 while slab s is deflated; a stream takes its slabs
-    in order."""
-    grid = readers[0][0].info
-    nx, ny, nz = grid.dims
+    """The fold-averaged argmax labels of the class files, class slab by
+    class slab (_class_slabs), each class's mean slab deflated into its
+    stream on the pool. Every voxel gets the arithmetic of one pass over
+    whole grids: each mean is ens.fold_mean, the labels a running argmax
+    over ascending classes (ens.take_larger), and each slab passes the checks
+    of the probability Volumes that pass builds: the range and class sums of
+    each fold in fold order, then of the mean (_ClassSums). A stream takes
+    its slabs in order, one write at a time."""
+    nx, ny, nz = readers[0][0].info.dims
+    folds, classes = len(readers), len(readers[0])
     depth = max(1, _SLAB_BYTES // (nx * ny * np.dtype(np.float32).itemsize))
-    labels = None
-    writes = []
-    with _file_pool(len(readers) * len(readers[0])) as pool:
-        slabs = _read_slabs(readers, depth, pool)
-        for z, stacks in slabs:
-            try:
-                members = tuple(Volume(stack, grid.spacing, grid.affine, kind="probability")
-                                for stack in stacks)
-                mean = ens.average_probabilities(ens.FoldSet(members, kind="probability"))
-            except ValidationError as exc:
-                slabs.throw(exc)  # raises the first fault in file order
-            slab = ens.argmax_labels(mean).data
-            if labels is None:
-                labels = np.empty((nx, ny, nz), dtype=slab.dtype, order="F")
-            labels[:, :, z:z + slab.shape[2]] = slab
-            for write in writes:  # a stream holds at most two slabs
-                write.result()
-            # each class slab of the class-major mean is contiguous; its
-            # transpose is the C-ordered buffer of its Fortran-ordered bytes
-            writes = [pool.submit(stream.write, mean.data[..., c].T)
-                      for c, stream in enumerate(streams)]
-        for write in writes:
+    labels = np.empty((nx, ny, nz), dtype=ens.label_dtype(classes), order="F")
+    writes = {}
+    with _file_pool(folds * classes) as pool:
+        # the file threads decode while as many slabs wait for the caller
+        slabs = _class_slabs(readers, depth, pool, 2 * _usable_cpus())
+        for z, c, grids in slabs:
+            mean = ens.fold_mean([grids[..., k] for k in range(folds)])
+            slab = labels[:, :, z:z + mean.shape[2]]
+            if c == 0:
+                sums = [_ClassSums() for _ in range(folds + 1)]
+                best = mean.copy(order="F")
+                slab[...] = 0
+            else:
+                ens.take_larger(best, slab, mean, c)
+            for k in range(folds):
+                sums[k].add(grids[..., k])
+            sums[-1].add(mean)
+            if streams:
+                if c in writes:  # the stream's slab before
+                    writes[c].result()
+                # a Fortran-ordered slab's transpose is the C-ordered buffer of its bytes
+                writes[c] = pool.submit(streams[c].write, mean.T)
+            if c == classes - 1:
+                try:
+                    for checks in sums:
+                        checks.check()
+                except ValidationError as exc:
+                    slabs.throw(exc)  # raises the first fault in file order
+        for write in writes.values():
             write.result()
     return labels
+
+
+def _stream_loss(paths: list[Path], gt_path) -> float:
+    """metrics.composite_loss of the class files against the gt label file,
+    one class grid at a time: each class's metrics.class_loss is added in
+    class order, so the value has the bits of composite_loss over the whole
+    stack. The class files pass the checks of their stack's probability
+    Volume (_ClassSums) before a fault of the gt is raised: one that cannot
+    be read, lies on another grid or holds a label of C or more."""
+    with ExitStack() as files:
+        [readers] = _open_prob_files([paths], files)
+        grid = readers[0].info
+        try:
+            gt = read_volume(gt_path, kind="label")
+            _same_grid(paths[0], grid, gt_path, gt)
+            metrics.check_loss_gt(gt, len(paths))
+            fault = None
+        except (NodemetryError, OSError) as exc:
+            gt, fault = None, exc
+        total, sums = 0.0, _ClassSums()
+        with _file_pool(len(paths)) as pool:
+            # one class grid read ahead: a class's loss takes longer than its
+            # read, so more would only hold more grids
+            slabs = _class_slabs([readers], grid.dims[2], pool, 1)
+            for _, c, grids in slabs:
+                sums.add(grids[..., 0])
+                if fault is None:
+                    total += metrics.class_loss(grids[..., 0], gt.data, c)
+                if c == len(paths) - 1:
+                    try:
+                        sums.check()
+                    except ValidationError as exc:
+                        slabs.throw(exc)
+    if fault is not None:
+        raise fault
+    return total / len(paths)
 
 
 def _pair_volumes(args) -> list[tuple[str, Path, Path]]:
@@ -549,9 +617,7 @@ def _cmd_loss(args) -> int:
     config = _config(args)
 
     [paths] = _prob_files(args.prob_dir, folds=False)
-    probs = _read_prob_stack(paths)
-    gt = read_volume(args.gt, kind="label")
-    value = metrics.composite_loss(probs, gt)
+    value = _stream_loss(paths, args.gt)
     if args.out_json:
         _write_json(_report(config, loss=value), args.out_json)
     print(f"loss: {value:.6f}")

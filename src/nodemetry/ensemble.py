@@ -53,18 +53,27 @@ def average_probabilities(folds: FoldSet) -> Volume:
     """Per-voxel, per-class arithmetic mean of the fold probabilities."""
     if folds.kind != "probability":
         raise ValidationError("average_probabilities needs probability folds")
-    # in the members' memory layout, so a class slice of a class-major
-    # stack stays one contiguous grid through the mean
-    acc = np.zeros_like(folds.members[0].data, dtype=np.float64)
-    for vol in folds.members:
-        acc += vol.data
-    acc /= len(folds)
-    first = folds.members[0]
-    # float64 accumulation, then back to the members' precision: averaging a
-    # single fold (or k copies) reproduces it bit-for-bit
-    out_dtype = np.result_type(*(v.data.dtype for v in folds.members))
+    mean = fold_mean([v.data for v in folds.members])
+    return folds.members[0].with_data(mean, kind="probability")
+
+
+def fold_mean(grids) -> np.ndarray:
+    """The per-voxel mean of same-shaped probability grids, added in float64
+    in the order given, clipped to [0, 1] and cast back to their precision:
+    averaging a single fold (or k copies) reproduces it bit-for-bit. Its
+    memory layout is the first grid's, so a class slice of a class-major stack
+    stays one contiguous grid through the mean."""
+    acc = np.zeros_like(grids[0], dtype=np.float64)
+    for grid in grids:
+        acc += grid
+    acc /= len(grids)
     np.clip(acc, 0.0, 1.0, out=acc)  # in place: no second float64 grid
-    return first.with_data(acc.astype(out_dtype), kind="probability")
+    return acc.astype(np.result_type(*(g.dtype for g in grids)))
+
+
+def label_dtype(class_count: int) -> np.dtype:
+    """The dtype of a merged label grid: one byte while the class ids fit it."""
+    return np.dtype(np.uint8 if class_count <= 256 else np.int32)
 
 
 def argmax_labels(probs: Volume) -> Volume:
@@ -75,22 +84,28 @@ def argmax_labels(probs: Volume) -> Volume:
     if probs.kind != "probability":
         raise ValidationError("argmax_labels needs a probability volume")
     data = probs.data
-    dtype = np.uint8 if probs.class_count <= 256 else np.int32
+    dtype = label_dtype(probs.class_count)
     if data.flags.c_contiguous:
         # each voxel's classes lie side by side: one contiguous pass
         labels = np.argmax(data, axis=3).astype(dtype)  # argmax picks the first maximum
     else:
         # a class-major stack: a running maximum over its contiguous class
-        # grids, where np.argmax would first copy the stack transposed;
-        # ascending ids and a strict > keep the first maximum, as np.argmax
-        # does (probabilities are never NaN)
+        # grids, where np.argmax would first copy the stack transposed
         best = data[..., 0].copy(order="K")
         labels = np.zeros_like(best, dtype=dtype)
         for c in range(1, probs.class_count):
-            better = data[..., c] > best
-            labels[better] = c
-            np.maximum(best, data[..., c], out=best)
+            take_larger(best, labels, data[..., c], c)
     return probs.with_data(labels, kind="label", class_count=probs.class_count)
+
+
+def take_larger(best: np.ndarray, labels: np.ndarray, grid: np.ndarray, c: int) -> None:
+    """One step of a running argmax over class grids in ascending id order:
+    where grid beats best, labels takes c and best takes grid's value. The
+    strict > keeps the first maximum, as np.argmax does (probabilities are
+    never NaN)."""
+    better = grid > best
+    labels[better] = c
+    np.maximum(best, grid, out=best)
 
 
 def majority_vote(folds: FoldSet) -> Volume:
@@ -104,7 +119,7 @@ def majority_vote(folds: FoldSet) -> Volume:
 
     shape = first.dims
     best_count = np.zeros(shape, dtype=np.uint16)
-    best_class = np.zeros(shape, dtype=np.uint8 if class_count <= 256 else np.int32)
+    best_class = np.zeros(shape, dtype=label_dtype(class_count))
     votes = np.empty(shape, dtype=np.uint16)
     for cid in range(class_count):  # ascending, strict > keeps the smallest tied id
         votes[:] = 0

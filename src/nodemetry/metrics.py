@@ -113,6 +113,17 @@ def composite_loss(probs: Volume, gt: Volume) -> float:
     if probs.kind != "probability":
         raise ValidationError("composite_loss needs a probability volume")
     n_classes = probs.class_count
+    check_loss_gt(gt, n_classes)
+    _check_probabilities(probs.data)
+    total = 0.0
+    for c in range(n_classes):
+        total += class_loss(probs.data[..., c], gt.data, c)
+    return total / n_classes
+
+
+def check_loss_gt(gt: Volume, n_classes: int) -> None:
+    """Reject a gt label volume that declares another class count than the
+    n_classes probability classes, or holds a label that none of them has."""
     if gt.class_count is not None and gt.class_count != n_classes:
         raise ValidationError(
             f"class counts differ: probs {n_classes}, gt {gt.class_count}"
@@ -120,14 +131,28 @@ def composite_loss(probs: Volume, gt: Volume) -> float:
     if gt.data.size and (hi := int(gt.data.max())) >= n_classes:
         raise ValidationError(f"gt label {hi} outside the {n_classes} probability classes")
 
-    _check_probabilities(probs.data)
-    total = 0.0
-    for c in range(n_classes):
-        # one class grid at a time in float64: the stack stays in its own precision
-        p = probs.data[..., c].astype(np.float64)
-        g = (gt.data == c).astype(np.float64)
-        total += _bce_arrays(p, g) + (1.0 - _soft_dice_arrays(p, g))
-    return total / n_classes
+
+def class_loss(p: np.ndarray, labels: np.ndarray, c: int) -> float:
+    """Class c's term of composite_loss: BCE(p, onehot_c) + (1 - soft Dice),
+    for p the class's probability grid and labels the gt's label grid.
+
+    It works in float64 on one class grid, so a stack stays in its own
+    precision, and holds two float64 grids where _bce_arrays holds about six.
+    The bits are those of _bce_arrays and _soft_dice_arrays on a float64 g,
+    for p and labels of one memory layout (which sets the order of the sums):
+    the onehot's 0 and 1 multiply as a bool's, and each voxel's BCE sum
+    g*log(q) + (1-g)*log1p(-q) is one of its terms plus -0.0, since neither
+    term is 0 for q clamped to [BCE_CLAMP, 1 - BCE_CLAMP].
+    """
+    g = labels == c
+    p = p.astype(np.float64)
+    dice = _soft_dice_arrays(p, g)
+    q = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP, out=p)
+    terms = np.negative(q)
+    np.log1p(terms, out=terms)
+    np.copyto(terms, np.log(q, out=q), where=g)
+    np.negative(terms, out=terms)
+    return float(terms.mean()) + (1.0 - dice)
 
 
 def _check_threshold(threshold_mm: float) -> None:

@@ -83,14 +83,7 @@ class Volume:
                 raise ValidationError(
                     f"class_count {self.class_count} != trailing axis {n_classes}"
                 )
-            lo, hi = float(data.min()), float(data.max())
-            # negated so that NaN, which fails every comparison, is rejected too
-            if not (lo >= 0.0 and hi <= 1.0):
-                raise ValidationError(f"probabilities outside [0,1]: min {lo}, max {hi}")
-            sums = data.sum(axis=3, dtype=np.float64)
-            err = float(np.abs(sums - 1.0).max())
-            if err > PROB_SUM_TOL:
-                raise ValidationError(f"per-voxel class sums off by {err:.2e} (> {PROB_SUM_TOL})")
+            check_probabilities(data.min(), data.max(), data.sum(axis=3, dtype=np.float64))
 
         data.setflags(write=False)
         affine.setflags(write=False)
@@ -109,6 +102,19 @@ class Volume:
         """New volume on this grid with different voxel data."""
         return replace(self, data=data, kind=kind or self.kind,
                        class_count=class_count if class_count is not None else self.class_count)
+
+
+def check_probabilities(lo, hi, sums) -> None:
+    """The checks of a probability grid with least and greatest values lo
+    and hi and per-voxel class sums sums: every value in [0, 1], then every
+    class sum within PROB_SUM_TOL of 1."""
+    lo, hi = float(lo), float(hi)
+    # negated so that NaN, which fails every comparison, is rejected too
+    if not (lo >= 0.0 and hi <= 1.0):
+        raise ValidationError(f"probabilities outside [0,1]: min {lo}, max {hi}")
+    err = float(np.abs(sums - 1.0).max())
+    if err > PROB_SUM_TOL:
+        raise ValidationError(f"per-voxel class sums off by {err:.2e} (> {PROB_SUM_TOL})")
 
 
 def identity_affine(spacing: tuple[float, float, float]) -> np.ndarray:

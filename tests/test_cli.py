@@ -480,6 +480,44 @@ def test_ensemble_labels_grid_mismatch_names_both_files(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["{tmp}/mean/mean_class1.nii.gz", "probs/../probs/fold1_class0.nii.gz"],
+                         ids=["an-out-probs-file", "an-input"])
+def test_ensemble_out_that_names_another_file_of_the_run_exits_1(tmp_path, monkeypatch, capsys,
+                                                                 out):
+    # a mean would replace the merged labels, or the labels an input, and the
+    # run exited 0; paths are compared resolved, before any file is read
+    write_fold_probs(tmp_path / "probs", folds=2, classes=2)
+    before = {p.name: p.read_bytes() for p in (tmp_path / "probs").iterdir()}
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "Payload", None)  # any read would fail
+    out = out.format(tmp=tmp_path)
+    assert main(["ensemble", "--prob-dir", "probs", "--out", out, "--out-probs", "mean"]) == 1
+    assert f"--out {out} is also " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["probs"]
+    assert {p.name: p.read_bytes() for p in (tmp_path / "probs").iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["loss", "fuse"])
+def test_grid_mismatch_of_gt_or_ln_names_both_files(tmp_path, capsys, command):
+    # eval and ensemble named the two files; loss --gt and fuse did not
+    write_fold_probs(tmp_path / "probs", folds=None, classes=2)  # 9x7x5
+    anatomy = tmp_path / "anatomy"; anatomy.mkdir()
+    write_mask(anatomy / "spleen.nii.gz", np.zeros((9, 7, 5), np.uint8))
+    other = tmp_path / "other.nii.gz"
+    write_mask(other, np.zeros((9, 7, 4), np.uint8))
+    argv, expected = {
+        "loss": (["loss", "--prob-dir", str(tmp_path / "probs"), "--gt", str(other)],
+                 f"{tmp_path / 'probs' / 'class0.nii.gz'} vs {other}: dims differ on axis 2: "
+                 "5 vs 4"),
+        "fuse": (["fuse", "--anatomy-dir", str(anatomy), "--ln", str(other),
+                  "--out", str(tmp_path / "fused.nii.gz")],
+                 f"{other} vs {anatomy / 'spleen.nii.gz'}: dims differ on axis 2: 4 vs 5"),
+    }[command]
+    assert main(argv) == 1
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "fused.nii.gz").exists()
+
+
 def test_loss_command(tmp_path, capsys):
     shape = (4, 4, 4)
     labels = np.zeros(shape, np.uint8); labels[:2] = 1
@@ -988,6 +1026,30 @@ def test_ensemble_child_holds_no_fold_stack(tmp_path):
     assert len(list((tmp_path / "mean").iterdir())) == classes
     fold_stack_kb = np.prod(shape) * classes * 4 / 1024
     assert peak < base + fold_stack_kb, (peak, base)
+    # read class slab by class slab, it holds little more than the zlib state
+    # of its 150 inputs and 30 outputs; reading two slabs of every file at
+    # once took 38.5 MiB over the imports (2 CPUs)
+    assert peak < base + fold_stack_kb / 3, (peak, base)
+
+
+def test_loss_child_holds_no_class_stack(tmp_path):
+    # 30 classes on 96x96x80: the loss of the whole stack held it (84 MB) and
+    # its float64 temporaries; class by class it holds a class grid, the one
+    # read ahead, the float64 class sums and the loss of one class
+    shape, classes = (96, 96, 80), 30
+    prob_dir = tmp_path / "probs"; prob_dir.mkdir()
+    top = np.arange(shape[2]) // 8 % classes  # one class per block of slices
+    for c in range(classes):
+        column = np.where(top == c, np.float32(0.71), np.float32(0.01))
+        grid = np.broadcast_to(column, shape).astype(np.float32, order="F")
+        nm.write_volume(make_volume(grid, kind="scalar"), prob_dir / f"class{c}.nii.gz")
+    write_mask(tmp_path / "gt.nii.gz", np.broadcast_to(top.astype(np.uint8), shape))
+    base = child_rss_kb(["-c", "import nodemetry.cli"], tmp_path)
+    peak = child_rss_kb(["-m", "nodemetry.cli", "loss", "--prob-dir", "probs",
+                         "--gt", "gt.nii.gz", "--out-json", "loss.json"], tmp_path)
+    assert json.loads((tmp_path / "loss.json").read_text())["loss"] > 0
+    stack_kb = np.prod(shape) * classes * 4 / 1024
+    assert peak < base + stack_kb / 2, (peak, base)
 
 
 def test_file_error_cancels_reads_not_started(tmp_path, monkeypatch):
@@ -1017,6 +1079,58 @@ def test_file_error_cancels_reads_not_started(tmp_path, monkeypatch):
         assert len(started) <= 3, (command, started)
 
 
+
+def test_fault_of_a_later_read_in_flight_counts_in_file_order(tmp_path, monkeypatch, capsys):
+    # the reads of classes 0 and 1 run at once; fold1_class0's fails, and
+    # so, while it is reported, does fold0_class1's, which comes first in
+    # file order: that fault is raised, not the one of fold1_class0, even
+    # where the file itself could be read on (a read that raised is not
+    # read again)
+    CPU_SETUPS["four-cpus"](monkeypatch)
+    prob_dir = tmp_path / "probs"
+    write_fold_probs(prob_dir, folds=2, classes=2)
+    decode_into = cli.Payload.decode_into
+
+    def failing_decode(payload, out):
+        if payload._path.name == "fold1_class0.nii.gz":
+            time.sleep(0.1)  # fold0_class1's read has started by now
+            raise OSError("fold1_class0 fault")
+        if payload._path.name == "fold0_class1.nii.gz":
+            raise OSError("fold0_class1 fault")
+        return decode_into(payload, out)
+
+    monkeypatch.setattr(cli.Payload, "decode_into", failing_decode)
+    assert main(["ensemble", "--prob-dir", str(prob_dir),
+                 "--out", str(tmp_path / "merged.nii.gz")]) == 2
+    assert "fold0_class1 fault" in capsys.readouterr().err
+
+@pytest.mark.parametrize("class_fault, gt_fault, code, named", [
+    (_break_crc, "truncated", 2, "class2.nii.gz"),
+    (_break_sums, "label", 1, "class sums"),
+    (_break_sums, "grid", 1, "class sums"),
+], ids=["crc-and-truncated-gt", "sums-and-gt-label", "sums-and-gt-grid"])
+def test_loss_reports_class_file_faults_before_gt_faults(tmp_path, capsys, class_fault, gt_fault,
+                                                          code, named):
+    # a fault in a class file, found only once the files are read, comes
+    # before any fault of --gt; with sound class files the gt's fault shows
+    prob_dir, gt, out = tmp_path / "probs", tmp_path / "gt.nii.gz", tmp_path / "loss.json"
+    write_fold_probs(prob_dir, folds=None, classes=4)
+    class_fault(prob_dir / "class2.nii.gz")
+    labels = np.zeros((9, 7, 6) if gt_fault == "grid" else (9, 7, 5), np.uint8)
+    labels[1, 2, 3] = 4 if gt_fault == "label" else 1
+    write_mask(gt, labels)
+    if gt_fault == "truncated":
+        _truncate(gt)
+    argv = ["loss", "--prob-dir", str(prob_dir), "--gt", str(gt), "--out-json", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert named in err and "gt.nii.gz" not in err
+    write_fold_probs(prob_dir, folds=None, classes=4)
+    assert main(argv) == (2 if gt_fault == "truncated" else 1)
+    assert named not in capsys.readouterr().err
+    assert not out.exists()
+
+
 @st.composite
 def class_probabilities(draw):
     shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
@@ -1028,21 +1142,22 @@ def class_probabilities(draw):
     return probs.astype(np.float32), np.asfortranarray(labels)
 
 
-@settings(max_examples=100, deadline=None)
+# at least 100 examples; more under --hypothesis-profile=ci
+@settings(max_examples=max(100, settings().max_examples), deadline=None)
 @given(case=class_probabilities())
 def test_loss_of_class_major_stack_equals_stacked_oracle(case):
-    # loss.json is byte-identical only while the loss of the class-major
-    # stack is == the loss of the class-last np.stack one
+    # loss.json is byte-identical only while the loss streamed one class
+    # grid at a time is == composite_loss of the class-last np.stack one
     probs, labels = case
     classes = probs.shape[3]
     with tempfile.TemporaryDirectory() as d:
         paths = [Path(d) / f"class{c}.nii.gz" for c in range(classes)]
         for c, path in enumerate(paths):
             nm.write_volume(make_volume(np.asfortranarray(probs[..., c]), kind="scalar"), path)
-        stack = cli._read_prob_stack(paths)
+        write_mask(Path(d) / "gt.nii.gz", labels)
+        streamed = cli._stream_loss(paths, Path(d) / "gt.nii.gz")
         oracle = make_volume(np.stack([np.asarray(nm.read_volume(p, kind="scalar").data,
                                                   dtype=np.float32) for p in paths], axis=3),
                              kind="probability")
-    assert stack.data.flags.f_contiguous and np.array_equal(stack.data, oracle.data)
     gt = make_volume(labels, kind="label", class_count=classes)
-    assert metrics.composite_loss(stack, gt) == metrics.composite_loss(oracle, gt)
+    assert streamed == metrics.composite_loss(oracle, gt)

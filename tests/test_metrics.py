@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nodemetry as nm
-from nodemetry.metrics import (_bce_arrays, _check_probabilities, _pair_overlaps,
-                               _soft_dice_arrays)
+from hypothesis.extra import numpy as hnp
+from nodemetry.metrics import (BCE_CLAMP, _bce_arrays, _check_probabilities, _pair_overlaps,
+                               _soft_dice_arrays, class_loss)
 from conftest import make_volume
 from oracles import naive_composite_loss, naive_dice, naive_evaluate
 
@@ -163,6 +164,26 @@ def test_loss_of_float32_stack_equals_whole_stack_float64(order):
         ref += _bce_arrays(whole[..., c], g) + (1.0 - _soft_dice_arrays(whole[..., c], g))
     ref /= 6
     assert nm.composite_loss(make_volume(probs_arr, kind="probability"), gt) == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=hnp.arrays(np.float32, st.tuples(*[st.integers(1, 7)] * 3),
+                    elements=st.sampled_from([0.0, 1.0, BCE_CLAMP, 1 - BCE_CLAMP, 0.5])
+                    | st.floats(0.0, 1.0, width=32)),
+       order=st.sampled_from("CF"), data=st.data())
+def test_class_loss_has_the_bits_of_the_float64_onehot_terms(p, order, data):
+    # class_loss works on a bool onehot and in place; its value must be the
+    # one of _bce_arrays + (1 - _soft_dice_arrays) on float64 grids, bit for
+    # bit, at the clamp's ends and at exact 0 and 1 too. The grids share a
+    # memory layout, as a stack's class grid and its gt read from files do
+    # (with two layouts, the sums' order follows numpy's choice of layout)
+    p = np.asarray(p, order=order)
+    labels = np.asarray(data.draw(hnp.arrays(np.uint8, p.shape, elements=st.integers(0, 2))),
+                        order=order)
+    p64 = p.astype(np.float64)
+    for c in range(3):
+        g = (labels == c).astype(np.float64)
+        assert class_loss(p, labels, c) == _bce_arrays(p64, g) + (1.0 - _soft_dice_arrays(p64, g))
 
 
 def test_loss_class_count_mismatch():
