@@ -38,15 +38,7 @@ from .metrics import (
     soft_dice,
     stratify,
 )
-from .morphometry import (
-    NodeMeasurement,
-    convex_hull,
-    max_diameter,
-    measure_components,
-    measure_node,
-    min_width,
-    slice_footprint,
-)
+from .morphometry import NodeMeasurement, measure_components, measure_node
 from .nifti_io import HeaderInfo, VolumeFile, open_volume, read_header, read_volume, write_volume
 from .phantom import PhantomNode, PhantomSpec, generate, load_phantom_spec, random_spec
 from .volume import Volume, assert_same_grid, canonicalize, identity_affine, world_coords

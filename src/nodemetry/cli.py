@@ -126,6 +126,20 @@ def _prob_files(directory, folds: bool) -> list[list[Path]]:
     return [[classes[c] for c in range(count)] for _, classes in sorted(found.items())]
 
 
+def _check_outputs(outputs, inputs=()) -> None:
+    """Refuse a run that would write over a file it reads, or write one file
+    twice, before it reads any: outputs are (flag, path) pairs, unset paths
+    None; inputs the files it reads (unset ones None), a directory's as the
+    files listed from it. Paths are compared resolved."""
+    seen = {Path(p).resolve(): str(p) for p in inputs if p}
+    for flag, path in outputs:
+        if path:
+            out = Path(path).resolve()
+            if out in seen:
+                raise ValidationError(f"{flag} {path} is also {seen[out]}")
+            seen[out] = f"{flag} {path}"
+
+
 def _jobs(args) -> int:
     """eval's patient threads: --jobs, else NODEMETRY_THREADS, else 1; below 1 is an error."""
     if args.jobs is not None:
@@ -164,10 +178,11 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_fuse(args) -> int:
+    files = _nifti_files(args.anatomy_dir)
+    _check_outputs([("--out", args.out)], [*files.values(), args.ln, args.spec])
     spec = fusion.load_fusion_spec(args.spec) if args.spec else fusion.default_fusion_spec()
     _config(args, spec=args.spec or "builtin")
 
-    files = _nifti_files(args.anatomy_dir)
     anatomy = [(stem, read_volume(path, kind="label")) for stem, path in files.items()]
     ln_mask = read_volume(args.ln, kind="label")
     for path, (_, vol) in zip(files.values(), anatomy):
@@ -181,6 +196,8 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_cc(args) -> int:
     config = _config(args)
+    _check_outputs([("--out-labels", args.out_labels), ("--out-summary", args.out_summary)],
+                   [args.mask])
 
     mask = open_volume(args.mask)
     cset = label_components(mask, args.connectivity)
@@ -196,6 +213,7 @@ def _cmd_cc(args) -> int:
 
 def _cmd_measure(args) -> int:
     _config(args)
+    _check_outputs([("--out", args.out)], [args.mask])
 
     mask = canonicalize(open_volume(args.mask))
     cset = label_components(mask, args.connectivity)
@@ -213,6 +231,7 @@ def _cmd_ensemble(args) -> int:
     _config(args)
 
     if args.labels:
+        _check_outputs([("--out", args.out)], args.labels)
         votes = []
         for path in args.labels:
             votes.append(read_volume(path, kind="label"))
@@ -227,10 +246,8 @@ def _cmd_ensemble(args) -> int:
     classes = len(paths[0])
     out_dir = Path(args.out_probs) if args.out_probs else None
     targets = [out_dir / f"mean_class{c}.nii.gz" for c in range(classes)] if out_dir else []
-    out = Path(args.out).resolve()
-    for path in (*targets, *(path for fold in paths for path in fold)):
-        if path.resolve() == out:  # a mean would replace the labels, or the labels an input
-            raise ValidationError(f"--out {args.out} is also {path}")
+    _check_outputs([*(("--out-probs", t) for t in targets), ("--out", args.out)],
+                   [path for fold in paths for path in fold])
     with ExitStack() as files:
         readers = _open_prob_files(paths, files)
         grid = readers[0][0].info
@@ -435,6 +452,12 @@ def _stream_loss(paths: list[Path], gt_path) -> float:
 
 
 def _pair_volumes(args) -> list[tuple[str, Path, Path]]:
+    forms = [[f"--{dest.replace('_', '-')}" for dest in form if getattr(args, dest)]
+             for form in (("gt", "pred"), ("gt_dir", "pred_dir"), ("manifest",))]
+    given = ["/".join(flags) for flags in forms if flags]
+    if len(given) > 1:
+        raise ValidationError(f"eval takes one of --gt/--pred, --gt-dir/--pred-dir or "
+                              f"--manifest, got {' and '.join(given)}")
     if args.gt and args.pred:
         return [(_volume_stem(Path(args.gt)), Path(args.gt), Path(args.pred))]
     if args.manifest:
@@ -508,17 +531,21 @@ class _LnForeground(Foreground):
     nonzero voxels among the size voxels of its grid. Every nonzero voxel is
     kept while the file looks binary; those all hold one value, so when a
     chunk shows the file multi-class they stay if ln_class is 0 or that
-    value, and go otherwise.
+    value, and go otherwise. A negative value in a signed file is no label:
+    the pass stops at the first one.
     """
 
-    def __init__(self, ln_class: int, size: int):
+    def __init__(self, ln_class: int, size: int, path):
         super().__init__()
-        self.ln_class, self.size = ln_class, size
+        self.ln_class, self.size, self.path = ln_class, size, path
         self.value = None  # the one nonzero value seen while the file looks binary
         self.binary = True
 
     def add(self, keys, chunk, start):
         values = chunk.ravel(order="F")[keys - start]
+        if values.dtype.kind == "i" and values.size and values.min() < 0:
+            first = values[np.argmax(values < 0)]
+            raise ValidationError(f"{self.path}: label grid holds negative value {first}")
         if self.binary and values.size:
             hi = values.max()
             if values.min() == hi and hi in (1, 255) and self.value in (None, hi):
@@ -547,7 +574,8 @@ def _ln_mask(mask: VolumeFile, ln_class: int) -> VolumeFile:
     scaled file's nonzero voxels."""
     if mask.info.scaled or DTYPE_FOR_CODE[mask.info.datatype_code] == "f4":
         return mask
-    return replace(mask, foreground=partial(_LnForeground, ln_class, math.prod(mask.info.dims)))
+    size = math.prod(mask.info.dims)
+    return replace(mask, foreground=partial(_LnForeground, ln_class, size, mask.path))
 
 
 def _cmd_eval(args) -> int:
@@ -556,6 +584,8 @@ def _cmd_eval(args) -> int:
         raise ValidationError(f"--ln-class must be >= 0, got {args.ln_class}")
     jobs = _jobs(args)
     pairs = _pair_volumes(args)
+    _check_outputs([("--out-json", args.out_json), ("--out-csv", args.out_csv)],
+                   [args.manifest, *(path for pair in pairs for path in pair[1:])])
     # the input flags are echoed as the pairs they resolve to
     config = _config(args, hide=("gt", "pred", "gt_dir", "pred_dir", "manifest"), jobs=jobs,
                      pairs=[[pid, str(g), str(p)] for pid, g, p in pairs])
@@ -603,6 +633,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_phantom(args) -> int:
     _config(args)
+    _check_outputs([("--out", args.out), ("--out-expected", args.out_expected)], [args.spec])
 
     spec = phantom.load_phantom_spec(args.spec)
     volume, expected = phantom.generate(spec)
@@ -617,6 +648,7 @@ def _cmd_loss(args) -> int:
     config = _config(args)
 
     [paths] = _prob_files(args.prob_dir, folds=False)
+    _check_outputs([("--out-json", args.out_json)], [*paths, args.gt])
     value = _stream_loss(paths, args.gt)
     if args.out_json:
         _write_json(_report(config, loss=value), args.out_json)

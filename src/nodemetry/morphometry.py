@@ -10,8 +10,7 @@ centers, so a single voxel measures its physical pixel size rather than zero.
 measure_components measures every slice of every node at once, in exact
 integer arithmetic on footprint corners in half-voxel units (_measure): a
 node shifted by whole voxels measures the same floats, and congruent slices
-tie exactly. The float helpers slice_footprint, convex_hull, min_width and
-max_diameter measure one slice in mm; measure_components does not use them.
+tie exactly. One slice is measured by measure_node on that slice's voxels.
 
 All lengths are world mm; the volume must be canonicalized (axial-last) so
 slice k means axial slice k and the in-plane spacing is spacing[0:2].
@@ -27,8 +26,6 @@ from .components import ComponentSet
 from .errors import EmptyInputError, ValidationError
 from .volume import Volume, is_canonical
 
-_CORNER_OFFSETS = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
-
 
 @dataclass(frozen=True)
 class NodeMeasurement:
@@ -40,88 +37,6 @@ class NodeMeasurement:
     long_axis_mm: float
     volume_mm3: float
     voxel_count: int
-
-
-def slice_footprint(ij: np.ndarray, spacing) -> np.ndarray:
-    """Corner points (mm) of the in-plane footprints of voxels on one slice.
-
-    Returns four corners per voxel (center +/- half spacing per axis);
-    shared corners of adjacent voxels are repeated.
-    """
-    ij = np.atleast_2d(np.asarray(ij))
-    if ij.size == 0:
-        raise EmptyInputError("no voxels on slice")
-    sx, sy = float(spacing[0]), float(spacing[1])
-    corners = ij[:, None, :] + _CORNER_OFFSETS
-    corners = corners.reshape(-1, 2) * np.array([sx, sy])
-    return corners
-
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _chain(pts: list) -> list:
-    """Counter-clockwise hull of points sorted by (x, y) and unique, by
-    monotone chain (Andrew 1979); collinear points are dropped."""
-    if len(pts) == 1:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) > 1 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) > 1 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Counter-clockwise convex hull by monotone chain.
-
-    Collinear interior points are dropped; all-collinear input yields the two
-    extreme points, a single point yields itself.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.size == 0:
-        raise EmptyInputError("no points")
-    # np.unique sorts lexicographically
-    return np.array(_chain(np.unique(pts, axis=0).tolist()))
-
-
-def min_width(hull: np.ndarray) -> float:
-    """Minimum caliper width of a convex polygon.
-
-    For each hull edge, the width is the maximal perpendicular distance from
-    the edge's supporting line to any vertex; the SAD direction is the edge
-    minimising it. Degenerate hulls (point, segment) have zero width.
-    """
-    hull = np.atleast_2d(np.asarray(hull, dtype=np.float64))
-    if len(hull) == 0:
-        raise EmptyInputError("empty hull")
-    if len(hull) < 3:
-        return 0.0
-    edges = np.roll(hull, -1, axis=0) - hull
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / lengths[:, None]
-    # (h, h) signed distances of every vertex to every edge line
-    dists = normals @ hull.T - np.einsum("ij,ij->i", normals, hull)[:, None]
-    widths = dists.max(axis=1)
-    return float(widths.min())
-
-
-def max_diameter(hull: np.ndarray) -> float:
-    """Maximal caliper diameter (largest vertex-to-vertex distance)."""
-    hull = np.atleast_2d(np.asarray(hull, dtype=np.float64))
-    if len(hull) == 0:
-        raise EmptyInputError("empty hull")
-    if len(hull) == 1:
-        return 0.0
-    diff = hull[:, None, :] - hull[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
 
 def _starts(*keys: np.ndarray) -> np.ndarray:
@@ -246,8 +161,8 @@ def _measure(labels: np.ndarray, voxels: np.ndarray, volume: Volume) -> list[Nod
     """Measure the nodes of labeled voxels (one label per voxel), in
     ascending label order.
 
-    _peel cuts each slice's chain to its hull, the hull of every corner of
-    slice_footprint. A hull edge in lowest terms (ex, ey) has the width
+    _peel cuts each slice's chain to its hull, the hull of the corners of
+    the slice's voxel footprints. A hull edge in lowest terms (ex, ey) has the width
     sx*sy*C / (2*hypot(ex*sx, ey*sy)), C being the largest integer cross
     product of (ex, ey) with a vertex taken from the edge's start; a slice's
     width is its smallest edge width. Only integer differences enter, so

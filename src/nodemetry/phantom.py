@@ -47,12 +47,15 @@ class PhantomSpec:
 
 
 def _validate_spec(spec: PhantomSpec) -> None:
-    if any(n < 1 for n in spec.dims) or any(s <= 0 for s in spec.spacing_mm):
+    # negated comparisons, so that NaN, which fails every one, is rejected too
+    if any(n < 1 for n in spec.dims) or not all(0 < s < math.inf for s in spec.spacing_mm):
         raise ValidationError(f"bad grid: dims {spec.dims}, spacing {spec.spacing_mm}")
     span = [(n - 1) * s for n, s in zip(spec.dims, spec.spacing_mm)]
     for idx, node in enumerate(spec.nodes):
-        if any(s <= 0 for s in node.semiaxes_mm):
-            raise ValidationError(f"node {idx}: semiaxes must be positive")
+        if not all(0 < s < math.inf for s in node.semiaxes_mm):
+            raise ValidationError(f"node {idx}: semiaxes must be positive and finite")
+        if not all(map(math.isfinite, (*node.center_mm, node.rotation_deg))):
+            raise ValidationError(f"node {idx}: center and rotation must be finite")
         ex, ey = node.inplane_extent_mm()
         extents = (ex, ey, node.semiaxes_mm[2])
         for axis in range(3):

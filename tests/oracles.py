@@ -148,32 +148,6 @@ def naive_evaluate(gt: np.ndarray, pred: np.ndarray, measurements, threshold_mm:
     }
 
 
-def brute_hull_vertices(points: np.ndarray) -> set:
-    """Hull vertex set via the all-pairs half-plane test, O(n^3).
-
-    Assumes points in general position (no collinear triples), as holds for
-    random real-valued inputs.
-    """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    n = len(pts)
-    if n <= 2:
-        return {tuple(p) for p in pts}
-    verts = set()
-    for i in range(n):
-        # row j of the (n, n) cross matrix tests edge i -> j against every point
-        rel = pts - pts[i]
-        e = rel  # row j is the edge i -> j
-        cross = e[:, 0, None] * rel[:, 1] - e[:, 1, None] * rel[:, 0]
-        cross[:, i] = np.inf  # point i and point j are not "others"
-        np.fill_diagonal(cross, np.inf)
-        hull_edge = np.all(cross > 0, axis=1)
-        hull_edge[i] = False
-        if hull_edge.any():
-            verts.add(tuple(pts[i]))
-            verts.update(tuple(p) for p in pts[hull_edge])
-    return verts
-
-
 def lattice_hull(points) -> list:
     """Counter-clockwise strict hull vertices of distinct integer points,
     which must not all be collinear, by the all-pairs test: p -> q is a hull
@@ -233,7 +207,7 @@ def lattice_node_measure(voxels, spacing) -> tuple:
     return best
 
 
-def sweep_min_width(points: np.ndarray, n_dirs: int = 7200) -> float:
+def sweep_width(points: np.ndarray, n_dirs: int = 7200) -> float:
     """Minimum projection width over a dense sweep of directions."""
     pts = np.asarray(points, dtype=float)
     thetas = np.linspace(0.0, math.pi, n_dirs, endpoint=False)
@@ -242,7 +216,8 @@ def sweep_min_width(points: np.ndarray, n_dirs: int = 7200) -> float:
     return float((proj.max(axis=0) - proj.min(axis=0)).min())
 
 
-def sweep_max_diameter(points: np.ndarray) -> float:
+def sweep_diameter(points: np.ndarray) -> float:
+    """Largest distance between two of the points."""
     pts = np.asarray(points, dtype=float)
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((diff ** 2).sum(axis=2)).max())

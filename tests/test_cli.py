@@ -497,6 +497,94 @@ def test_ensemble_out_that_names_another_file_of_the_run_exits_1(tmp_path, monke
     assert {p.name: p.read_bytes() for p in (tmp_path / "probs").iterdir()} == before
 
 
+# each wrote over a file of its run and exited 0
+OVERWRITES = {
+    "ensemble-fold": ["ensemble", "--labels", "a.nii", "b.nii", "--out", "a.nii"],
+    "cc-mask": ["cc", "--mask", "m.nii", "--out-labels", "m.nii"],
+    "measure-mask": ["measure", "--mask", "m.nii", "--out", "m.nii"],
+    "fuse-structure": ["fuse", "--anatomy-dir", "anat", "--ln", "m.nii",
+                       "--out", "anat/lung_upper_lobe_left.nii"],
+    "cc-two-outputs": ["cc", "--mask", "m.nii", "--out-labels", "x.nii", "--out-summary", "x.nii"],
+    "eval-two-outputs": ["eval", "--gt", "m.nii", "--pred", "a.nii", "--out-json", "r",
+                         "--out-csv", "r"],
+    "eval-manifest": ["eval", "--manifest", "pairs.csv", "--out-csv", "./pairs.csv"],
+    "phantom-spec": ["phantom", "--spec", "spec.txt", "--out", "ph.nii", "--out-expected",
+                     "spec.txt"],
+    "loss-gt": ["loss", "--prob-dir", "probs", "--gt", "m.nii", "--out-json", "probs/../m.nii"],
+}
+OVERWRITE_MESSAGES = {
+    "ensemble-fold": "--out a.nii is also a.nii",
+    "cc-mask": "--out-labels m.nii is also m.nii",
+    "measure-mask": "--out m.nii is also m.nii",
+    "fuse-structure": "--out anat/lung_upper_lobe_left.nii is also anat/lung_upper_lobe_left.nii",
+    "cc-two-outputs": "--out-summary x.nii is also --out-labels x.nii",
+    "eval-two-outputs": "--out-csv r is also --out-json r",
+    "eval-manifest": "--out-csv ./pairs.csv is also pairs.csv",
+    "phantom-spec": "--out-expected spec.txt is also spec.txt",
+    "loss-gt": "--out-json probs/../m.nii is also m.nii",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERWRITES))
+def test_output_that_is_an_input_or_another_output_exits_1(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    mask = np.zeros((6, 5, 4), np.uint8)
+    mask[1:3, 1:3, 1:3] = 1
+    for name in ("m.nii", "a.nii", "b.nii", "anat/lung_upper_lobe_left.nii", "anat/spleen.nii"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        write_mask(tmp_path / name, mask)
+    write_probs(tmp_path / "probs", ["class0.nii", "class1.nii"], shape=mask.shape)
+    (tmp_path / "pairs.csv").write_text("p1,m.nii,a.nii\n")
+    (tmp_path / "spec.txt").write_text("dims = 24 24 24\nspacing = 1 1 1\nnode = 10 10 10 3 3 3\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(OVERWRITES[case]) == 1
+    assert f"error: {OVERWRITE_MESSAGES[case]}\n" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("forms", [("pair", "dirs"), ("pair", "manifest"), ("dirs", "manifest"),
+                                   ("pair", "dirs", "manifest")], ids="-".join)
+def test_eval_rejects_more_than_one_input_form(tmp_path, capsys, forms):
+    # only the first form was scored: a manifest given too was never opened
+    for d in ("gt", "pred"):
+        (tmp_path / d).mkdir()
+        write_mask(tmp_path / d / "p1.nii", two_node_arr())
+    flags = {"pair": ["--gt", str(tmp_path / "gt/p1.nii"), "--pred", str(tmp_path / "pred/p1.nii")],
+             "dirs": ["--gt-dir", str(tmp_path / "gt"), "--pred-dir", str(tmp_path / "pred")],
+             "manifest": ["--manifest", str(tmp_path / "missing.csv")]}
+    names = {"pair": "--gt/--pred", "dirs": "--gt-dir/--pred-dir", "manifest": "--manifest"}
+    out_json = tmp_path / "r.json"
+    assert main(["eval", *(f for form in forms for f in flags[form]),
+                 "--out-json", str(out_json)]) == 1
+    captured = capsys.readouterr()
+    assert f"got {' and '.join(names[form] for form in forms)}" in captured.err
+    assert "Dice" not in captured.out
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize("dtype", ["i2", "i4"])
+@pytest.mark.parametrize("which", ["gt", "pred"])
+def test_eval_rejects_negative_label(tmp_path, capsys, dtype, which):
+    # a gt whose only nonzero voxel is -1 scored "Dice (All LN): 0.0 (n=1)"
+    # with exit 0; ensemble --labels and fuse reject the same file
+    files = {"gt": tmp_path / "g.nii", "pred": tmp_path / "p.nii"}
+    labels = np.zeros((6, 5, 4), dtype)
+    labels[2, 2, 2] = 1
+    write_mask(files["pred" if which == "gt" else "gt"], labels)
+    labels[2, 2, 2] = -1
+    nm.write_volume(make_volume(labels, kind="scalar"), files[which])
+    out_json = tmp_path / "r.json"
+    assert main(["eval", "--gt", str(files["gt"]), "--pred", str(files["pred"]),
+                 "--out-json", str(out_json)]) == 1
+    captured = capsys.readouterr()
+    assert f"{files[which]}: label grid holds negative value -1" in captured.err
+    assert "Dice" not in captured.out
+    assert not out_json.exists()
+    # cc and measure read it as a mask: nonzero is foreground
+    assert main(["cc", "--mask", str(files[which])]) == 0
+    assert "1 components" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["loss", "fuse"])
 def test_grid_mismatch_of_gt_or_ln_names_both_files(tmp_path, capsys, command):
     # eval and ensemble named the two files; loss --gt and fuse did not

@@ -6,128 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nodemetry as nm
-from nodemetry.morphometry import max_diameter
 from conftest import make_volume
-from oracles import brute_hull_vertices, lattice_node_measure, sweep_min_width
+from oracles import lattice_node_measure, sweep_diameter, sweep_width
 
 
-def rect_points(w, h, angle_deg=0.0, n_extra=0, rng=None):
-    corners = np.array([[0, 0], [w, 0], [w, h], [0, h]], dtype=float)
-    pts = corners
-    if n_extra:
-        inner = rng.uniform((0, 0), (w, h), size=(n_extra, 2))
-        pts = np.vstack([corners, inner])
-    t = math.radians(angle_deg)
-    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-    return pts @ rot.T
+def slice_sad(ij, spacing=(1.0, 1.0)) -> float:
+    """The SAD (mm) that measure_node gives the voxels (rows of (i, j)) of one slice."""
+    vol = make_volume(np.zeros((*(ij.max(axis=0) + 1), 1), np.uint8), spacing=(*spacing, 1.0))
+    return nm.measure_node(np.column_stack([ij, np.zeros(len(ij), int)]), vol).sad_mm
 
 
-# -- slice_footprint ---------------------------------------------------------
-
-def test_footprint_single_voxel_unit():
-    pts = nm.slice_footprint(np.array([[0, 0]]), (1.0, 1.0))
-    assert pts.shape == (4, 2)
-    assert np.allclose(sorted(map(tuple, pts)),
-                       [(-0.5, -0.5), (-0.5, 0.5), (0.5, -0.5), (0.5, 0.5)])
-
-
-def test_footprint_anisotropic():
-    pts = nm.slice_footprint(np.array([[0, 0]]), (0.8, 0.7))
-    assert np.allclose(pts.max(axis=0) - pts.min(axis=0), [0.8, 0.7])
-
-
-def test_footprint_two_adjacent_voxels():
-    pts = nm.slice_footprint(np.array([[0, 0], [1, 0]]), (1.0, 1.0))
-    assert pts.shape == (8, 2)  # shared corners repeat
-    hull = nm.convex_hull(pts)
-    assert np.allclose(hull.max(axis=0) - hull.min(axis=0), [2.0, 1.0])
-
-
-def test_footprint_empty_slice():
-    with pytest.raises(nm.EmptyInputError):
-        nm.slice_footprint(np.zeros((0, 2)), (1.0, 1.0))
-
-
-# -- convex_hull -------------------------------------------------------------
-
-def test_hull_drops_interior_point():
-    square = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
-    hull = nm.convex_hull(square)
-    assert len(hull) == 4
-    assert {tuple(p) for p in hull} == {(0, 0), (1, 0), (1, 1), (0, 1)}
-
-
-def test_hull_collinear_degenerates_to_segment():
-    hull = nm.convex_hull(np.array([[0, 0], [1, 1], [2, 2]]))
-    assert len(hull) == 2
-    assert {tuple(p) for p in hull} == {(0, 0), (2, 2)}
-
-
-def test_hull_single_point():
-    hull = nm.convex_hull(np.array([[3.0, 4.0]]))
-    assert hull.shape == (1, 2)
-
-
-def test_hull_is_counter_clockwise(rng):
-    pts = rng.normal(size=(50, 2))
-    hull = nm.convex_hull(pts)
-    area2 = 0.0
-    for i in range(len(hull)):
-        x0, y0 = hull[i]
-        x1, y1 = hull[(i + 1) % len(hull)]
-        area2 += x0 * y1 - x1 * y0
-    assert area2 > 0
-
-
-def test_hull_matches_brute_force_oracle(rng):
-    r = np.sqrt(rng.random(1000))
-    t = rng.random(1000) * 2 * math.pi
-    pts = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
-    hull = nm.convex_hull(pts)
-    assert {tuple(p) for p in hull} == brute_hull_vertices(pts)
-
-
-def test_hull_empty_input():
-    with pytest.raises(nm.EmptyInputError):
-        nm.convex_hull(np.zeros((0, 2)))
-
-
-# -- min_width ---------------------------------------------------------------
-
-def test_width_rectangle():
-    assert nm.min_width(nm.convex_hull(rect_points(10, 4))) == pytest.approx(4.0)
-
-
-def test_width_rotated_rectangle():
-    for angle in (30, 45, 77, 120):
-        hull = nm.convex_hull(rect_points(10, 4, angle_deg=angle))
-        assert nm.min_width(hull) == pytest.approx(4.0, abs=1e-9)
-
-
-def test_width_regular_hexagon():
-    t = np.arange(6) * math.pi / 3
-    hexagon = np.stack([np.cos(t), np.sin(t)], axis=1)
-    assert nm.min_width(nm.convex_hull(hexagon)) == pytest.approx(math.sqrt(3.0))
-
-
-def test_max_diameter_empty_hull():
-    with pytest.raises(nm.EmptyInputError):
-        max_diameter(np.zeros((0, 2)))
-
-
-def test_width_degenerate():
-    assert nm.min_width(np.array([[1.0, 2.0]])) == 0.0
-    assert nm.min_width(np.array([[0.0, 0.0], [3.0, 0.0]])) == 0.0
-
-
-def test_width_against_direction_sweep(rng):
-    for _ in range(10):
-        pts = rng.normal(size=(40, 2)) * rng.uniform(1, 10)
-        hull = nm.convex_hull(pts)
-        mine = nm.min_width(hull)
-        swept = sweep_min_width(pts)
-        assert mine <= swept + 1e-9  # sweep can only overshoot the true min
-        assert mine == pytest.approx(swept, rel=2e-2)
+def footprint_corners(ij, spacing) -> np.ndarray:
+    """The four corners (mm) of each voxel's footprint on one slice."""
+    half = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    return (ij[:, None, :] + half).reshape(-1, 2) * np.asarray(spacing)
 
 
 # -- measure_node ------------------------------------------------------------
@@ -220,6 +112,17 @@ def test_sad_scales_with_spacing(rng):
     assert m2.sad_mm == pytest.approx(2.0 * m1.sad_mm)
 
 
+def test_width_against_direction_sweep(rng):
+    for _ in range(10):
+        n = int(rng.integers(1, 40))
+        ij = np.unique(rng.integers(0, int(rng.integers(1, 20)), (n, 2)), axis=0)
+        spacing = tuple(rng.uniform(0.3, 2.0, 2))
+        mine = slice_sad(ij, spacing)
+        swept = sweep_width(footprint_corners(ij, spacing))
+        assert mine <= swept + 1e-9  # sweep can only overshoot the true min
+        assert mine == pytest.approx(swept, rel=2e-2)
+
+
 def test_slice_sad_monotone_under_growth(rng):
     # adding voxels to a slice never decreases that slice's width
     for _ in range(20):
@@ -227,8 +130,8 @@ def test_slice_sad_monotone_under_growth(rng):
         ij = np.unique(rng.integers(0, 12, (n, 2)), axis=0)
         extra = np.unique(rng.integers(0, 12, (4, 2)), axis=0)
         grown = np.unique(np.vstack([ij, extra]), axis=0)
-        w_small = nm.min_width(nm.convex_hull(nm.slice_footprint(ij, (1, 1))))
-        w_big = nm.min_width(nm.convex_hull(nm.slice_footprint(grown, (1, 1))))
+        w_small = slice_sad(ij)
+        w_big = slice_sad(grown)
         assert w_big >= w_small - 1e-12
 
 
@@ -248,8 +151,7 @@ def test_sad_bounds(rng):
             diams = []
             for k in np.unique(vox[:, 2]):
                 ij = vox[vox[:, 2] == k, :2]
-                diams.append(max_diameter(nm.convex_hull(
-                    nm.slice_footprint(ij, spacing[:2]))))
+                diams.append(sweep_diameter(footprint_corners(ij, spacing[:2])))
             assert meas.sad_mm <= max(diams) + 1e-12
 
 

@@ -140,3 +140,20 @@ def test_parse_phantom_spec_errors():
         parse_phantom_spec("dims = 4 4 4\nspacing = 1 1 1\n")
     with pytest.raises(nm.ValidationError, match="bad number"):
         parse_phantom_spec("dims = 4 4 x\nspacing = 1 1 1\nnode = 1 1 1 1 1 1\n")
+
+
+@pytest.mark.parametrize("line", ["node = 10 10 10 nan 3 3", "node = nan 10 10 3 3 3",
+                                  "node = 10 10 10 3 3 3 nan", "spacing = nan 1 1"],
+                         ids=["semiaxis", "center", "rotation", "spacing"])
+def test_nan_in_phantom_spec_exits_1(tmp_path, capsys, line):
+    # each ended in an uncaught ValueError from rasterizing the node
+    from nodemetry.cli import main
+    lines = {"dims": "dims = 24 24 24", "spacing": "spacing = 1 1 1",
+             "node": "node = 10 10 10 3 3 3"}
+    lines[line.split()[0]] = line
+    spec = tmp_path / "spec.txt"
+    spec.write_text("\n".join(lines.values()) + "\n")
+    out = tmp_path / "ph.nii"
+    assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
