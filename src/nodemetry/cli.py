@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -138,23 +137,6 @@ def _check_outputs(outputs, inputs=()) -> None:
             if out in seen:
                 raise ValidationError(f"{flag} {path} is also {seen[out]}")
             seen[out] = f"{flag} {path}"
-
-
-def _jobs(args) -> int:
-    """eval's patient threads: --jobs, else NODEMETRY_THREADS, else 1; below 1 is an error."""
-    if args.jobs is not None:
-        jobs, source = args.jobs, "--jobs"
-    else:
-        env = os.environ.get("NODEMETRY_THREADS")
-        if not env:
-            return 1
-        try:
-            jobs, source = int(env), "NODEMETRY_THREADS"
-        except ValueError:
-            raise ValidationError(f"NODEMETRY_THREADS={env!r} is not an integer") from None
-    if jobs < 1:
-        raise ValidationError(f"{source} must be at least 1, got {jobs}")
-    return jobs
 
 
 def _usable_cpus() -> int:
@@ -527,17 +509,16 @@ class _LnForeground(Foreground):
     A label file whose nonzero voxels all hold 1, or all hold 255, is a
     binary mask (nonzero is foreground, as everywhere downstream; many tools
     store masks as 0/255), as is an all-zero file. Any other is multi-class
-    and gives up its ln_class voxels, for ln_class 0 the complement of its
-    nonzero voxels among the size voxels of its grid. Every nonzero voxel is
+    and gives up its ln_class voxels (ln_class >= 1). Every nonzero voxel is
     kept while the file looks binary; those all hold one value, so when a
-    chunk shows the file multi-class they stay if ln_class is 0 or that
-    value, and go otherwise. A negative value in a signed file is no label:
-    the pass stops at the first one.
+    chunk shows the file multi-class they stay if that value is ln_class,
+    and go otherwise. A negative value in a signed file is no label: the
+    pass stops at the first one.
     """
 
-    def __init__(self, ln_class: int, size: int, path):
+    def __init__(self, ln_class: int, path):
         super().__init__()
-        self.ln_class, self.size, self.path = ln_class, size, path
+        self.ln_class, self.path = ln_class, path
         self.value = None  # the one nonzero value seen while the file looks binary
         self.binary = True
 
@@ -552,20 +533,9 @@ class _LnForeground(Foreground):
                 self.value = hi
             else:
                 self.binary = False
-                if self.ln_class not in (0, self.value):
+                if self.ln_class != self.value:
                     self._parts = []
-        if self.binary or self.ln_class == 0:
-            self._parts.append(keys)
-        else:
-            self._parts.append(keys[values == self.ln_class])
-
-    def keys(self):
-        keys = super().keys()
-        if self.binary or self.ln_class != 0:
-            return keys
-        zero = np.ones(self.size, dtype=bool)
-        zero[keys] = False
-        return np.flatnonzero(zero)
+        self._parts.append(keys if self.binary else keys[values == self.ln_class])
 
 
 def _ln_mask(mask: VolumeFile, ln_class: int) -> VolumeFile:
@@ -574,20 +544,20 @@ def _ln_mask(mask: VolumeFile, ln_class: int) -> VolumeFile:
     scaled file's nonzero voxels."""
     if mask.info.scaled or DTYPE_FOR_CODE[mask.info.datatype_code] == "f4":
         return mask
-    size = math.prod(mask.info.dims)
-    return replace(mask, foreground=partial(_LnForeground, ln_class, size, mask.path))
+    return replace(mask, foreground=partial(_LnForeground, ln_class, mask.path))
 
 
 def _cmd_eval(args) -> int:
     metrics.check_eval_options(args.threshold_mm, args.match_min_overlap)
-    if args.ln_class < 0:  # no voxel holds it: two empty masks would score 100
-        raise ValidationError(f"--ln-class must be >= 0, got {args.ln_class}")
-    jobs = _jobs(args)
+    if args.ln_class < 1:  # 0 is background; no voxel holds a negative class
+        raise ValidationError(f"--ln-class must be >= 1, got {args.ln_class}")
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     pairs = _pair_volumes(args)
     _check_outputs([("--out-json", args.out_json), ("--out-csv", args.out_csv)],
                    [args.manifest, *(path for pair in pairs for path in pair[1:])])
     # the input flags are echoed as the pairs they resolve to
-    config = _config(args, hide=("gt", "pred", "gt_dir", "pred_dir", "manifest"), jobs=jobs,
+    config = _config(args, hide=("gt", "pred", "gt_dir", "pred_dir", "manifest"),
                      pairs=[[pid, str(g), str(p)] for pid, g, p in pairs])
 
     def one(pair):
@@ -602,8 +572,8 @@ def _cmd_eval(args) -> int:
         except ValidationError as exc:
             raise type(exc)(f"{gt_path} vs {pred_path}: {exc}") from exc
 
-    if jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and len(pairs) > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(one, pairs))
     else:
         reports = [one(p) for p in pairs]
@@ -706,9 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="match_min_overlap", metavar="MIN_OVERLAP",
                    help="fraction of a predicted component that must overlap a GT node to match")
     p.add_argument("--ln-class", type=int, default=DEFAULT_LN_CLASS,
-                   help="class id extracted from multi-class volumes (default 2)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel patients (default: NODEMETRY_THREADS or 1)")
+                   help="class id (>= 1) extracted from multi-class volumes (default 2)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel patients (default 1)")
     p.add_argument("--out-json", default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=_cmd_eval)

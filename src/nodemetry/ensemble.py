@@ -83,18 +83,8 @@ def argmax_labels(probs: Volume) -> Volume:
     """
     if probs.kind != "probability":
         raise ValidationError("argmax_labels needs a probability volume")
-    data = probs.data
-    dtype = label_dtype(probs.class_count)
-    if data.flags.c_contiguous:
-        # each voxel's classes lie side by side: one contiguous pass
-        labels = np.argmax(data, axis=3).astype(dtype)  # argmax picks the first maximum
-    else:
-        # a class-major stack: a running maximum over its contiguous class
-        # grids, where np.argmax would first copy the stack transposed
-        best = data[..., 0].copy(order="K")
-        labels = np.zeros_like(best, dtype=dtype)
-        for c in range(1, probs.class_count):
-            take_larger(best, labels, data[..., c], c)
+    # np.argmax picks the first maximum, on any memory layout
+    labels = np.argmax(probs.data, axis=3).astype(label_dtype(probs.class_count))
     return probs.with_data(labels, kind="label", class_count=probs.class_count)
 
 

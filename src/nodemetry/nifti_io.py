@@ -53,6 +53,7 @@ HEADER_SIZE = 348
 MIN_VOX_OFFSET = 352  # 348-byte header + 4-byte extension flag
 MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
+MAX_DIM = 32767  # the largest grid axis that NIfTI-1's int16 dim fields hold
 _GZIP_PIECE = 1 << 15  # compressed bytes per read, and inflated bytes per call, of a gzip file
 _SCAN_CHUNK = 1 << 21  # payload bytes per chunk of whole z-slices in a pass
 _MAX_INFLATE_RATIO = 1032  # deflate's largest ratio of output to input bytes
@@ -603,7 +604,7 @@ def _header_bytes(dims, spacing, affine, dtype: np.dtype, kind: str,
                   description: str) -> bytes:
     """The header and the empty extension flag that precede a payload of
     dtype on the grid given by dims, spacing and affine."""
-    if any(n > 32767 for n in dims):
+    if any(n > MAX_DIM for n in dims):
         raise ValidationError(f"dims {dims} exceed the int16 dim fields of NIfTI-1")
     hdr = np.zeros((), dtype=_HDR_LE)
     hdr["sizeof_hdr"] = HEADER_SIZE

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .morphometry import NodeMeasurement
+from .nifti_io import MAX_DIM
 from .volume import Volume, identity_affine
 
 
@@ -47,9 +48,12 @@ class PhantomSpec:
 
 
 def _validate_spec(spec: PhantomSpec) -> None:
-    # negated comparisons, so that NaN, which fails every one, is rejected too
-    if any(n < 1 for n in spec.dims) or not all(0 < s < math.inf for s in spec.spacing_mm):
-        raise ValidationError(f"bad grid: dims {spec.dims}, spacing {spec.spacing_mm}")
+    # negated comparisons, so that NaN, which fails every one, is rejected too;
+    # a grid that no NIfTI-1 file can hold is refused before it is allocated
+    if (not all(1 <= n <= MAX_DIM for n in spec.dims)
+            or not all(0 < s < math.inf for s in spec.spacing_mm)):
+        raise ValidationError(f"bad grid: dims {spec.dims} (each 1..{MAX_DIM}), "
+                              f"spacing {spec.spacing_mm} (each positive and finite)")
     span = [(n - 1) * s for n, s in zip(spec.dims, spec.spacing_mm)]
     for idx, node in enumerate(spec.nodes):
         if not all(0 < s < math.inf for s in node.semiaxes_mm):

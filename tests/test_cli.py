@@ -216,11 +216,12 @@ def test_eval_rejects_out_of_range_option(tmp_path, capsys, option):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ln_class", ["-1", "-254"])
+@pytest.mark.parametrize("ln_class", ["-1", "-254", "0"])
 @pytest.mark.parametrize("source", ["gt-pred", "manifest"])
 def test_eval_rejects_negative_ln_class_before_reading(tmp_path, capsys, source, ln_class):
     # no voxel of a multi-class pair holds a negative class: both masks came
-    # out empty and the pair scored "Dice (All LN): 100.0" with exit 0
+    # out empty and the pair scored "Dice (All LN): 100.0" with exit 0; class
+    # 0 is background, whose components are no nodes
     gt = two_node_arr() * 2
     gt[0:3, 0:3, 0:3] = 1
     pred = np.where(gt == 2, 0, gt).astype(np.uint8)
@@ -235,7 +236,7 @@ def test_eval_rejects_negative_ln_class_before_reading(tmp_path, capsys, source,
     out_json = tmp_path / "report.json"
     assert main(["eval", *inputs, "--ln-class", ln_class, "--out-json", str(out_json)]) == 1
     captured = capsys.readouterr()
-    assert f"--ln-class must be >= 0, got {ln_class}" in captured.err
+    assert f"--ln-class must be >= 1, got {ln_class}" in captured.err
     assert "Dice" not in captured.out
     assert not out_json.exists()
 
@@ -652,30 +653,12 @@ def test_loss_rejects_nan_probabilities(tmp_path):
     assert rc == 1
 
 
-def test_threads_env_parsing(tmp_path, monkeypatch):
-    arr = np.zeros((6, 6, 4), np.uint8); arr[1:3, 1:3, 1:3] = 1
-    write_mask(tmp_path / "g.nii.gz", arr)
-    write_mask(tmp_path / "p.nii.gz", arr)
-    out = tmp_path / "r.json"
-    monkeypatch.setenv("NODEMETRY_THREADS", "3")
-    assert main(["eval", "--gt", str(tmp_path / "g.nii.gz"),
-                 "--pred", str(tmp_path / "p.nii.gz"), "--out-json", str(out)]) == 0
-    assert json.loads(out.read_text())["config"]["jobs"] == 3
-    monkeypatch.setenv("NODEMETRY_THREADS", "banana")
-    assert main(["eval", "--gt", str(tmp_path / "g.nii.gz"),
-                 "--pred", str(tmp_path / "p.nii.gz"), "--out-json", str(out)]) == 1
-
-
-@pytest.mark.parametrize("flags, env", [(["--jobs", "0"], "3"), (["--jobs", "-2"], None),
-                                        ([], "0")], ids=["jobs-0", "jobs-negative", "env-0"])
-def test_jobs_below_1_rejected(tmp_path, monkeypatch, capsys, flags, env):
-    # --jobs 0 used to fall back to NODEMETRY_THREADS, and values below 1 became 1
+@pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-2"]],
+                         ids=["jobs-0", "jobs-negative"])
+def test_jobs_below_1_rejected(tmp_path, capsys, flags):
+    # values below 1 used to become 1
     arr = two_node_arr()
     write_mask(tmp_path / "g.nii.gz", arr)
-    if env is None:
-        monkeypatch.delenv("NODEMETRY_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("NODEMETRY_THREADS", env)
     out = tmp_path / "r.json"
     rc = main(["eval", "--gt", str(tmp_path / "g.nii.gz"), "--pred", str(tmp_path / "g.nii.gz"),
                "--out-json", str(out), *flags])

@@ -94,7 +94,7 @@ def test_loss_json_config(scene, capsys):
     (["--gt-dir", "gt", "--pred-dir", "pred"], None,
      '[["p1", "gt/p1.nii.gz", "pred/p1.nii.gz"]]', 1),
     (["--manifest", "pairs.csv"], None, '[["pat7", "m.nii.gz", "m.nii.gz"]]', 1),
-    (["--manifest", "pairs.csv"], "3", '[["pat7", "m.nii.gz", "m.nii.gz"]]', 3),
+    (["--manifest", "pairs.csv"], "3", '[["pat7", "m.nii.gz", "m.nii.gz"]]', 1),
     (["--manifest", "pairs.csv", "--jobs", "2"], "3", '[["pat7", "m.nii.gz", "m.nii.gz"]]', 2),
 ], ids=["pair", "dirs", "manifest", "threads-env", "jobs-over-env"])
 def test_eval_json_config(scene, capsys, monkeypatch, inputs, threads, pairs, jobs):

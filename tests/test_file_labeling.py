@@ -183,7 +183,7 @@ def test_outputs_equal_the_whole_grid_path(tmp_path, monkeypatch, case, chunk):
     assert nm.read_volume(gt).data.any()
 
 
-@pytest.mark.parametrize("ln_class", [0, 1, 2, 7, 300])
+@pytest.mark.parametrize("ln_class", [1, 2, 7, 300])
 def test_multi_class_ln_class_equals_the_whole_grid_path(tmp_path, monkeypatch, ln_class):
     monkeypatch.setattr(nifti_io, "_SCAN_CHUNK", 2 * SHAPE[0] * SHAPE[1])
     data = _multi_class(_nodes())
@@ -208,7 +208,7 @@ def test_binary_looking_prefix_then_other_value(tmp_path, monkeypatch, separate)
     monkeypatch.setattr(nifti_io, "_SCAN_CHUNK", SHAPE[0] * SHAPE[1])
     _write(tmp_path / "gt.nii", _ones_then_255(separate))
     _write(tmp_path / "pred.nii", _nodes())
-    for ln_class in (0, 1, 255, 2):
+    for ln_class in (1, 255, 2):
         _assert_whole_grid_outputs(tmp_path, tmp_path / "gt.nii", tmp_path / "pred.nii",
                                    ln_class)
 
@@ -290,7 +290,6 @@ def _assert_hole_reads(reads, path, passes):
 HOLE_CASES = {
     "binary": (lambda d: d, _write, 2),
     "0-255": (lambda d: d * 255, _write, 2),
-    "multi-class-ln0": (_multi_class, _write, 0),
     "multi-class-ln2": (_multi_class, _write, 2),
     "big-endian": (lambda d: d, _big_endian_holes, 2),
 }
@@ -463,12 +462,11 @@ def ln_label_files(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=ln_label_files(), ln_class=st.sampled_from([0, 1, 2, 255, 300]))
+@given(case=ln_label_files(), ln_class=st.sampled_from([1, 2, 255, 300]))
 def test_ln_mask_keys_follow_the_whole_grid_rule(tmp_path_factory, case, ln_class):
     # eval's lymph-node mask of a .nii with 4096-byte holes, which start
     # mid-slice: every nonzero voxel where the file is scaled or its nonzero
     # values are all 1, all 255 or absent, else the voxels holding ln_class
-    # (0: the zeros)
     data, slope, depth = case
     path = tmp_path_factory.mktemp("ln") / "m.nii"
     with mock.patch.object(nifti_io, "_HOLE", 4096), \

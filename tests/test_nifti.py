@@ -421,6 +421,10 @@ BROKEN_GZ = {
     "missing_trailer": (lambda b: b[:-8], nm.TruncatedFileError),
     "truncated_midway": (lambda b: b[:len(b) // 2], nm.TruncatedFileError),
     "data_past_payload": (lambda b: b + gzip.compress(b"\x01"), nm.NiftiFormatError),
+    "bytes_after_last_member": (lambda b: b + b"NOTGZIP", nm.NiftiFormatError),
+    "header_cut": (lambda b: b[:12], nm.TruncatedFileError),
+    "unknown_method": (lambda b: b[:2] + b"\x07" + b[3:], nm.NiftiFormatError),
+    "padding_then_bytes": (lambda b: b + bytes(8) + b"xy", nm.NiftiFormatError),
 }
 
 

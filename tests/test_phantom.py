@@ -157,3 +157,15 @@ def test_nan_in_phantom_spec_exits_1(tmp_path, capsys, line):
     assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_oversized_phantom_exits_1(tmp_path, capsys):
+    # np.zeros of 10^15 voxels ended in an uncaught ArrayMemoryError; no
+    # NIfTI-1 file holds an axis above 32767 voxels
+    from nodemetry.cli import main
+    spec = tmp_path / "spec.txt"
+    spec.write_text("dims = 100000 100000 100000\nspacing = 1 1 1\nnode = 10 10 10 3 3 3\n")
+    out = tmp_path / "ph.nii"
+    assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
