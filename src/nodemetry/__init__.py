@@ -39,8 +39,8 @@ from .metrics import (
     stratify,
 )
 from .morphometry import NodeMeasurement, measure_components, measure_node
-from .nifti_io import HeaderInfo, VolumeFile, open_volume, read_header, read_volume, write_volume
+from .nifti_io import HeaderInfo, VolumeFile, open_volume, read_volume, write_volume
 from .phantom import PhantomNode, PhantomSpec, generate, load_phantom_spec, random_spec
-from .volume import Volume, assert_same_grid, canonicalize, identity_affine, world_coords
+from .volume import Volume, assert_same_grid, canonicalize, identity_affine
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ embeds it in JSON outputs. Floats in machine outputs are fixed at 4 decimals
 so identical inputs produce byte-identical reports; the console summary
 renders mean +/- std percent-style with one decimal.
 
-Exit codes: 0 success, 1 validation/usage error, 2 I/O or file-format error.
+Exit codes: 0 success, 1 validation/usage error, 2 I/O or file-format error
+or out of memory.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .components import Foreground, filter_components, label_components
 from .errors import NiftiFormatError, NodemetryError, ValidationError
 from .nifti_io import (DTYPE_FOR_CODE, Payload, VolumeFile, _replacing, open_volume, read_volume,
                        volume_streams, write_labels, write_volume)
-from .volume import Volume, assert_same_grid, canonicalize, check_probabilities
+from .volume import Volume, assert_same_grid, canonicalize, check_probabilities, label_dtype
 
 DEFAULT_LN_CLASS = 2
 SCHEMA_VERSION = 1
@@ -364,7 +365,7 @@ def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
     nx, ny, nz = readers[0][0].info.dims
     folds, classes = len(readers), len(readers[0])
     depth = max(1, _SLAB_BYTES // (nx * ny * np.dtype(np.float32).itemsize))
-    labels = np.empty((nx, ny, nz), dtype=ens.label_dtype(classes), order="F")
+    labels = np.empty((nx, ny, nz), dtype=label_dtype(classes), order="F")
     writes = {}
     with _file_pool(folds * classes) as pool:
         # the file threads decode while as many slabs wait for the caller
@@ -704,6 +705,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (NiftiFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NodemetryError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -94,10 +94,6 @@ class ComponentSet:
         coords, starts = self._grouped
         return coords[starts[index - 1]:starts[index]]
 
-    @property
-    def voxel_lists(self) -> list[np.ndarray]:
-        return [self.voxels(i) for i in range(1, self.count + 1)]
-
 
 def _component_set(shape, keys: np.ndarray, labels: np.ndarray, count: int,
                    connectivity: int) -> ComponentSet:

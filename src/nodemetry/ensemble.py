@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .volume import Volume, assert_same_grid
+from .volume import Volume, assert_same_grid, label_dtype
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,6 @@ def fold_mean(grids) -> np.ndarray:
     return acc.astype(np.result_type(*(g.dtype for g in grids)))
 
 
-def label_dtype(class_count: int) -> np.dtype:
-    """The dtype of a merged label grid: one byte while the class ids fit it."""
-    return np.dtype(np.uint8 if class_count <= 256 else np.int32)
-
-
 def argmax_labels(probs: Volume) -> Volume:
     """Discrete prediction: per-voxel class of maximal probability.
 
@@ -111,7 +106,10 @@ def majority_vote(folds: FoldSet) -> Volume:
     best_count = np.zeros(shape, dtype=np.uint16)
     best_class = np.zeros(shape, dtype=label_dtype(class_count))
     votes = np.empty(shape, dtype=np.uint16)
-    for cid in range(class_count):  # ascending, strict > keeps the smallest tied id
+    ids = range(class_count)
+    if class_count > 256:  # only the ids some fold holds: no other id wins a voxel
+        ids = np.unique(np.concatenate([np.unique(v.data) for v in folds.members])).tolist()
+    for cid in ids:  # ascending, strict > keeps the smallest tied id
         votes[:] = 0
         for vol in folds.members:
             votes += vol.data == cid

@@ -11,12 +11,12 @@ TotalSegmentator version.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from .errors import UnknownStructureError, ValidationError
-from .volume import Volume, assert_same_grid
+from .volume import Volume, assert_same_grid, label_dtype
 
 DEFAULT_SPEC_RESOURCE = "priors_29.map"
 
@@ -98,14 +98,12 @@ def parse_fusion_spec(text: str) -> FusionSpec:
 
 
 def load_fusion_spec(path) -> FusionSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_fusion_spec(f.read())
+    return parse_fusion_spec(Path(path).read_text(encoding="utf-8"))
 
 
 def default_fusion_spec() -> FusionSpec:
     """The shipped 29-class map (28 anatomical targets + lymph nodes)."""
-    text = resources.files("nodemetry").joinpath("data", DEFAULT_SPEC_RESOURCE).read_text()
-    return parse_fusion_spec(text)
+    return load_fusion_spec(Path(__file__).parent / "data" / DEFAULT_SPEC_RESOURCE)
 
 
 def fuse(anatomy, ln_mask: Volume, spec: FusionSpec) -> Volume:
@@ -117,8 +115,7 @@ def fuse(anatomy, ln_mask: Volume, spec: FusionSpec) -> Volume:
     for _name, vol in anatomy:
         assert_same_grid(ln_mask, vol)
 
-    dtype = np.uint8 if spec.class_count <= 255 else np.uint16
-    out = np.zeros(ln_mask.dims, dtype=dtype, order="F")
+    out = np.zeros(ln_mask.dims, dtype=label_dtype(spec.class_count + 1), order="F")
     # painted in precedence order, lymph nodes last: every voxel ends with the
     # highest-precedence class that covers it
     rank = {cid: r for r, cid in enumerate(spec.precedence)}

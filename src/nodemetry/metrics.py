@@ -17,7 +17,7 @@ import numpy as np
 from .components import label_components
 from .errors import ValidationError
 from .morphometry import NodeMeasurement, measure_components
-from .volume import Volume, assert_same_grid, canonicalize
+from .volume import Volume, assert_same_grid, canonicalize, check_probabilities
 
 SOFT_DICE_EPS = 1e-5
 BCE_CLAMP = 1e-7
@@ -76,17 +76,11 @@ def _dice_masks(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * inter / (na + nb)
 
 
-def _check_probabilities(p: np.ndarray) -> None:
-    # negated so that NaN, which fails every comparison, is rejected too
-    if p.size and not (float(p.min()) >= 0.0 and float(p.max()) <= 1.0):
-        raise ValidationError("probabilities must lie in [0, 1] and not be NaN")
-
-
 def soft_dice(prob: Volume, gt: Volume) -> float:
     """Soft Dice (2 sum(p*g) + eps) / (sum(p) + sum(g) + eps) for one class."""
     assert_same_grid(prob, gt)
     p = np.asarray(prob.data, dtype=np.float64)
-    _check_probabilities(p)
+    check_probabilities(p.min(), p.max())
     g = (gt.data != 0).astype(np.float64)
     return _soft_dice_arrays(p, g)
 
@@ -113,8 +107,7 @@ def composite_loss(probs: Volume, gt: Volume) -> float:
     if probs.kind != "probability":
         raise ValidationError("composite_loss needs a probability volume")
     n_classes = probs.class_count
-    check_loss_gt(gt, n_classes)
-    _check_probabilities(probs.data)
+    check_loss_gt(gt, n_classes)  # the probabilities passed their checks in Volume
     total = 0.0
     for c in range(n_classes):
         total += class_loss(probs.data[..., c], gt.data, c)

@@ -443,18 +443,14 @@ class Payload:
                                   f"header promises {self.nbytes}")
 
 
-def read_header(path) -> HeaderInfo:
-    """Parse the header of a (possibly gzipped) NIfTI-1 single file."""
-    return open_volume(path).info
-
-
 def read_volume(path, kind: str | None = None) -> Volume:
     """Read a NIfTI-1 single file into a Volume.
 
     Intensity scaling (scl_slope/scl_inter) is applied when slope is set,
     nonzero and not the identity; the result is then float32. Unscaled uint8
     grids are presented as kind="label", everything else as "scalar"; pass
-    kind to override.
+    kind to override. A grid that is no volume of that kind (a negative
+    or float label, say) is a ValidationError led by the file's name.
     """
     path = Path(path)
     with open(path, "rb") as raw:
@@ -463,8 +459,11 @@ def read_volume(path, kind: str | None = None) -> Volume:
         payload.readinto(buf)
         payload.finish()
     info = payload.info
-    return Volume(payload.decode(buf, info.dims), info.spacing, info.affine,
-                  kind=kind or info.kind, description=info.description)
+    try:
+        return Volume(payload.decode(buf, info.dims), info.spacing, info.affine,
+                      kind=kind or info.kind, description=info.description)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -226,5 +227,4 @@ def parse_phantom_spec(text: str) -> PhantomSpec:
 
 
 def load_phantom_spec(path) -> PhantomSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_phantom_spec(f.read())
+    return parse_phantom_spec(Path(path).read_text(encoding="utf-8"))

@@ -104,17 +104,21 @@ class Volume:
                        class_count=class_count if class_count is not None else self.class_count)
 
 
-def check_probabilities(lo, hi, sums) -> None:
+def check_probabilities(lo, hi, sums=None) -> None:
     """The checks of a probability grid with least and greatest values lo
-    and hi and per-voxel class sums sums: every value in [0, 1], then every
-    class sum within PROB_SUM_TOL of 1."""
+    and hi and per-voxel class sums sums: every value in [0, 1], then, when
+    sums are given, every class sum within PROB_SUM_TOL of 1."""
     lo, hi = float(lo), float(hi)
     # negated so that NaN, which fails every comparison, is rejected too
     if not (lo >= 0.0 and hi <= 1.0):
-        raise ValidationError(f"probabilities outside [0,1]: min {lo}, max {hi}")
-    err = float(np.abs(sums - 1.0).max())
-    if err > PROB_SUM_TOL:
+        raise ValidationError(f"probabilities must be in [0, 1] and not NaN: min {lo}, max {hi}")
+    if sums is not None and (err := float(np.abs(sums - 1.0).max())) > PROB_SUM_TOL:
         raise ValidationError(f"per-voxel class sums off by {err:.2e} (> {PROB_SUM_TOL})")
+
+
+def label_dtype(class_count: int) -> np.dtype:
+    """The dtype of a built label grid: one byte while the class ids fit it."""
+    return np.dtype(np.uint8 if class_count <= 256 else np.int32)
 
 
 def identity_affine(spacing: tuple[float, float, float]) -> np.ndarray:
@@ -122,15 +126,6 @@ def identity_affine(spacing: tuple[float, float, float]) -> np.ndarray:
     out = np.zeros((3, 4))
     out[0, 0], out[1, 1], out[2, 2] = spacing
     return out
-
-
-def world_coords(volume: Volume, index) -> np.ndarray:
-    """World-mm coordinates of a voxel index: affine . (i, j, k, 1)."""
-    i, j, k = (int(v) for v in index)
-    nx, ny, nz = volume.dims
-    if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-        raise IndexError(f"index ({i}, {j}, {k}) outside dims {volume.dims}")
-    return volume.affine @ np.array([i, j, k, 1.0])
 
 
 def assert_same_grid(a: Volume, b: Volume) -> None:

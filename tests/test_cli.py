@@ -153,7 +153,7 @@ def test_eval_ln_class_holds_for_every_integer_label_file(tmp_path):
         d.mkdir()
         for name, arr in (("g.nii", gt), ("p.nii", pred)):
             nm.write_volume(make_volume(arr.astype(dtype), kind="scalar"), d / name)
-            assert nm.read_header(d / name).datatype_code == code
+            assert nm.open_volume(d / name).info.datatype_code == code
         assert main(["eval", "--gt", str(d / "g.nii"), "--pred", str(d / "p.nii"),
                      "--out-json", str(d / "eval.json")]) == 0
         entries.append(json.loads((d / "eval.json").read_text())["patients"][0])
@@ -605,6 +605,39 @@ def test_grid_mismatch_of_gt_or_ln_names_both_files(tmp_path, capsys, command):
     assert main(argv) == 1
     assert expected in capsys.readouterr().err
     assert not (tmp_path / "fused.nii.gz").exists()
+
+
+@pytest.mark.parametrize("command", ["fuse", "ensemble", "loss"])
+def test_bad_label_file_is_named(tmp_path, capsys, command):
+    # fuse, ensemble --labels and loss --gt printed the fault without the file
+    shape = (6, 5, 4)
+    negative = np.zeros(shape, np.int16)
+    negative[2, 2, 2] = -1
+    anatomy = tmp_path / "anat"; anatomy.mkdir()
+    for name in ("liver", "spleen"):
+        write_mask(anatomy / f"{name}.nii.gz", np.zeros(shape))
+    bad = {"fuse": anatomy / "stomach.nii.gz", "ensemble": tmp_path / "fold1.nii.gz",
+           "loss": tmp_path / "gt.nii.gz"}[command]
+    if command == "ensemble":
+        nm.write_volume(make_volume(np.zeros(shape, np.float32), kind="scalar"), bad)
+    else:
+        nm.write_volume(make_volume(negative, kind="scalar"), bad)
+    write_mask(tmp_path / "ln.nii.gz", np.zeros(shape))
+    write_mask(tmp_path / "fold0.nii.gz", np.zeros(shape))
+    write_probs(tmp_path / "probs", ["class0.nii.gz", "class1.nii.gz"], shape)
+    out = tmp_path / "out.nii.gz"
+    argv, expected = {
+        "fuse": (["fuse", "--anatomy-dir", str(anatomy), "--ln", str(tmp_path / "ln.nii.gz"),
+                  "--out", str(out)], "label grid holds negative value -1"),
+        "ensemble": (["ensemble", "--labels", str(tmp_path / "fold0.nii.gz"), str(bad),
+                      "--out", str(out)], "label grid needs integer dtype, got float32"),
+        "loss": (["loss", "--prob-dir", str(tmp_path / "probs"), "--gt", str(bad),
+                  "--out-json", str(tmp_path / "loss.json")],
+                 "label grid holds negative value -1"),
+    }[command]
+    assert main(argv) == 1
+    assert f"error: {bad}: {expected}" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "loss.json").exists()
 
 
 def test_loss_command(tmp_path, capsys):

@@ -19,7 +19,6 @@ from conftest import make_volume
 @pytest.fixture
 def scene(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NODEMETRY_THREADS", raising=False)
     shape = (8, 8, 4)
     mask = np.zeros(shape, np.uint8)
     mask[1:3, 1:3, 1:3] = 1

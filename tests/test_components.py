@@ -43,7 +43,7 @@ def test_empty_mask():
     cset = nm.label_components(make_volume(np.zeros((8, 8, 8), np.uint8)))
     assert cset.count == 0
     assert not cset.component_of.any()
-    assert cset.voxel_lists == []
+    assert [cset.voxels(i) for i in range(1, cset.count + 1)] == []
 
 
 def test_corner_adjacency_depends_on_connectivity():
@@ -201,17 +201,18 @@ def test_voxel_lists_partition_mask(rng):
     mask = rng.random((16, 16, 16)) < 0.15
     cset = nm.label_components(mask, 26)
     seen = np.zeros(mask.shape, dtype=np.int64)
-    for vox in cset.voxel_lists:
+    voxel_lists = [cset.voxels(i) for i in range(1, cset.count + 1)]
+    for vox in voxel_lists:
         seen[vox[:, 0], vox[:, 1], vox[:, 2]] += 1
     assert np.array_equal(seen != 0, mask)
     assert seen.max() <= 1  # pairwise disjoint
-    assert sum(len(v) for v in cset.voxel_lists) == int(cset.sizes.sum())
+    assert sum(len(v) for v in voxel_lists) == int(cset.sizes.sum())
 
 
 def test_sizes_match_voxel_lists(rng):
     mask = rng.random((12, 12, 12)) < 0.25
     cset = nm.label_components(mask, 6)
-    assert [len(v) for v in cset.voxel_lists] == list(cset.sizes)
+    assert [len(cset.voxels(i)) for i in range(1, cset.count + 1)] == list(cset.sizes)
 
 
 def test_filter_identity():

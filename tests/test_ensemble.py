@@ -108,6 +108,19 @@ def test_majority_vote_matches_naive(rng):
     assert np.array_equal(out.data, ref)
 
 
+@pytest.mark.parametrize("high", [70000, 2**31 - 1])
+def test_majority_vote_on_large_ids_matches_naive(rng, high):
+    # the vote looped over every id up to the largest: 2**31 - 1 never ended
+    ids = np.array([0, 1, 3, high], np.int32)
+    folds = [ids[rng.integers(0, len(ids), (6, 5, 4))] for _ in range(5)]
+    out = nm.majority_vote(nm.FoldSet(tuple(make_volume(f, kind="label") for f in folds),
+                                      "label"))
+    # the oracle counts every id below n_classes, so it votes on the ids' ranks
+    ref = naive_majority([np.searchsorted(ids, f) for f in folds], len(ids))
+    assert np.array_equal(out.data, ids[ref])
+    assert out.class_count == high + 1
+
+
 def test_all_identical_folds():
     lab = random_labels(np.random.default_rng(5))
     out = nm.majority_vote(nm.FoldSet((lab, lab, lab), "label"))

@@ -555,7 +555,7 @@ def test_cc_out_labels_holds_no_whole_grid_copy(tmp_path):
     assert json.loads((tmp_path / "cc.json").read_text())["count"] == 300
     for name in ("cc.nii", "cc.nii.gz"):
         peak = cc("--out-labels", name)
-        assert nm.read_header(tmp_path / name).datatype_code == 8
+        assert nm.open_volume(tmp_path / name).info.datatype_code == 8
         assert peak < base + 8 * 1024, (name, peak, base)
 
 
@@ -600,7 +600,7 @@ def test_cc_out_labels_equal_the_component_grid_written_whole(tmp_path, monkeypa
     got = json.loads((tmp_path / "cc.json").read_text())
     assert (got["count"], got["sizes"]) == (summary["count"], summary["sizes"])
     assert lo <= summary["count"] <= hi
-    assert nm.read_header(out).datatype_code == (2 if summary["count"] <= 255 else 8)
+    assert nm.open_volume(out).info.datatype_code == (2 if summary["count"] <= 255 else 8)
 
 
 def test_no_command_builds_the_component_grid(tmp_path, monkeypatch):

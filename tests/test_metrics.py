@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import nodemetry as nm
 from hypothesis.extra import numpy as hnp
-from nodemetry.metrics import (BCE_CLAMP, _bce_arrays, _check_probabilities, _pair_overlaps,
+from nodemetry.metrics import (BCE_CLAMP, _bce_arrays, _pair_overlaps,
                                _soft_dice_arrays, class_loss)
 from conftest import make_volume
 from oracles import naive_composite_loss, naive_dice, naive_evaluate
@@ -86,8 +86,6 @@ def test_soft_dice_rejects_nan():
     p[1, 1, 1] = np.nan
     with pytest.raises(nm.ValidationError, match="NaN"):
         nm.soft_dice(make_volume(p, kind="scalar"), binvol(np.zeros((2, 2, 2))))
-    with pytest.raises(nm.ValidationError):
-        _check_probabilities(np.array([np.nan, np.nan]))
 
 
 def test_soft_dice_converges_to_dice(rng):

@@ -287,7 +287,7 @@ def test_scaling_applied(tmp_path):
 def test_labels_not_scaled(tmp_path, rng):
     v = random_volume(rng, "u1", "label")
     nm.write_volume(v, tmp_path / "v.nii")
-    info = nm.read_header(tmp_path / "v.nii")
+    info = nm.open_volume(tmp_path / "v.nii").info
     assert info.scl_slope == 0.0  # written unscaled
     r = nm.read_volume(tmp_path / "v.nii")
     assert r.kind == "label" and r.data.dtype == np.uint8
@@ -315,7 +315,7 @@ def test_no_form_affine_is_diagonal(tmp_path):
 def test_header_round_trip_fields(tmp_path, rng):
     v = random_volume(rng, "f4", "scalar")
     nm.write_volume(v, tmp_path / "v.nii")
-    info = nm.read_header(tmp_path / "v.nii")
+    info = nm.open_volume(tmp_path / "v.nii").info
     assert info.dims == v.dims
     assert info.datatype_code == 16
     assert info.spacing == v.spacing
@@ -453,7 +453,7 @@ def test_gzip_members_concatenated(tmp_path):
     path.write_bytes(b"".join(gzip.compress(raw[a:b]) for a, b in zip(cuts, cuts[1:]))
                      + bytes(16))
     assert np.array_equal(nm.read_volume(path).data, GZ_GRID)
-    assert nm.read_header(path).dims == GZ_GRID.shape
+    assert nm.open_volume(path).info.dims == GZ_GRID.shape
 
 
 class _ReadSpy:

@@ -169,3 +169,21 @@ def test_oversized_phantom_exits_1(tmp_path, capsys):
     assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_phantom_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # dims within the NIfTI-1 limit whose grid does not fit in memory ended in
+    # a traceback; the allocation is faked, since under overcommit a real one
+    # can succeed
+    from nodemetry.cli import main
+
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 24.6 TiB")
+
+    monkeypatch.setattr("nodemetry.phantom.generate", no_memory)
+    spec = tmp_path / "spec.txt"
+    spec.write_text("dims = 30000 30000 30000\nspacing = 1 1 1\nnode = 10 10 10 3 3 3\n")
+    out = tmp_path / "ph.nii"
+    assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "error: out of memory: Unable to allocate 24.6 TiB" in capsys.readouterr().err
+    assert not out.exists()

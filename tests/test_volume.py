@@ -6,36 +6,6 @@ from nodemetry.volume import canonicalize, is_canonical
 from conftest import make_volume
 
 
-def test_world_coords_identity_origin():
-    v = make_volume(np.zeros((4, 4, 4), np.uint8))
-    assert np.array_equal(nm.world_coords(v, (0, 0, 0)), [0.0, 0.0, 0.0])
-
-
-def test_world_coords_spacing():
-    v = make_volume(np.zeros((16, 4, 4), np.uint8), spacing=(0.8, 0.8, 1.5))
-    assert np.allclose(nm.world_coords(v, (10, 0, 0)), [8.0, 0.0, 0.0])
-
-
-def test_world_coords_out_of_bounds():
-    v = make_volume(np.zeros((4, 4, 7), np.uint8))
-    with pytest.raises(IndexError):
-        nm.world_coords(v, (0, 0, 7))
-
-
-def test_world_coords_is_affine(rng):
-    affine = np.array([[0.9, 0.1, 0.0, 4.0],
-                       [0.0, 1.2, -0.1, -3.0],
-                       [0.1, 0.0, 2.0, 10.0]])
-    v = nm.Volume(np.zeros((6, 6, 6), np.uint8), (1, 1, 1), affine, kind="label")
-    # world(a + b) - world(a) does not depend on a
-    b = (1, 2, 3)
-    deltas = []
-    for a in [(0, 0, 0), (1, 1, 1), (2, 3, 0)]:
-        ab = tuple(x + y for x, y in zip(a, b))
-        deltas.append(nm.world_coords(v, ab) - nm.world_coords(v, a))
-    assert np.allclose(deltas[0], deltas[1]) and np.allclose(deltas[0], deltas[2])
-
-
 def test_same_grid_self():
     v = make_volume(np.zeros((4, 5, 6), np.uint8))
     nm.assert_same_grid(v, v)
@@ -137,7 +107,7 @@ def test_canonicalize_restores_axial_last(rng):
     assert canon.spacing == spacing
     # world position of every voxel is unchanged
     for idx_c, idx_s in [((0, 0, 0), (6, 0, 0)), ((4, 5, 6), (0, 5, 4)), ((2, 3, 1), (5, 3, 2))]:
-        assert np.allclose(nm.world_coords(canon, idx_c), nm.world_coords(scrambled, idx_s))
+        assert np.allclose(canon.affine @ [*idx_c, 1], scrambled.affine @ [*idx_s, 1])
 
 
 def test_canonicalize_slice_convention(rng):
@@ -148,7 +118,7 @@ def test_canonicalize_slice_convention(rng):
     canon = canonicalize(scrambled)
     i, j, k = np.argwhere(canon.data)[0]
     assert (i, j, k) == (1, 2, 3)
-    assert np.isclose(nm.world_coords(canon, (i, j, k))[2], 3 * 1.5)
+    assert np.isclose((canon.affine @ [i, j, k, 1])[2], 3 * 1.5)
 
 
 @pytest.mark.parametrize("spacing", [(float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0),
