@@ -28,7 +28,7 @@ import numpy as np
 
 from . import ensemble as ens
 from . import fusion, metrics, morphometry, phantom
-from .components import Foreground, filter_components, label_components
+from .components import Foreground, check_min_voxels, filter_components, label_components
 from .errors import NiftiFormatError, NodemetryError, ValidationError
 from .nifti_io import (DTYPE_FOR_CODE, Payload, VolumeFile, _replacing, open_volume, read_volume,
                        volume_streams, write_labels, write_volume)
@@ -162,6 +162,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_fuse(args) -> int:
     files = _nifti_files(args.anatomy_dir)
+    if not files:  # a map with no anatomical prior is no fusion
+        raise ValidationError(f"no NIfTI files in {args.anatomy_dir}")
     _check_outputs([("--out", args.out)], [*files.values(), args.ln, args.spec])
     spec = fusion.load_fusion_spec(args.spec) if args.spec else fusion.default_fusion_spec()
     _config(args, spec=args.spec or "builtin")
@@ -178,6 +180,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_cc(args) -> int:
+    check_min_voxels(args.min_voxels)
     config = _config(args)
     _check_outputs([("--out-labels", args.out_labels), ("--out-summary", args.out_summary)],
                    [args.mask])
@@ -300,11 +303,15 @@ def _class_slabs(readers: list[list[Payload]], depth: int, pool, ahead: int):
     (nx, ny, d, folds) array. One pool task decodes each (slab, class). At
     most ahead of them, and never two of one class, are in flight, and the
     caller takes them in order, so each file is read front to back by one
-    thread at a time. The error raised is that of the first file in file
-    order that cannot be read to its end, else a ValidationError thrown in
-    at the yield; once one is found, reads not yet started are cancelled,
-    and those running end before any file is drained."""
+    thread at a time. Before a slab's last class is yielded, each fold's
+    slab passes, in fold order, the checks of the probability Volume that
+    a whole fold's class stack would build (_ClassSums). The error raised
+    is that of the first file in file order that cannot be read to its end,
+    else the first failed check, here or thrown in at the yield; once one
+    is found, reads not yet started are cancelled, and those running end
+    before any file is drained."""
     nx, ny, nz = readers[0][0].info.dims
+    classes = len(readers[0])
     opened = [r for fold in readers for r in fold]
     failed = {}
 
@@ -318,14 +325,20 @@ def _class_slabs(readers: list[list[Payload]], depth: int, pool, ahead: int):
                 raise
         return grids
 
-    tasks = [(z, c) for z in range(0, nz, depth) for c in range(len(readers[0]))]
-    window = min(ahead, len(readers[0]))
+    tasks = [(z, c) for z in range(0, nz, depth) for c in range(classes)]
+    window = min(ahead, classes)
     futures = deque(pool.submit(read, *task) for task in tasks[:window])
     for i, (z, c) in enumerate(tasks):
         try:
             grids = futures.popleft().result()
             if i + window < len(tasks):
                 futures.append(pool.submit(read, *tasks[i + window]))
+            if c == 0:
+                sums = [_ClassSums() for _ in readers]
+            for k, checks in enumerate(sums):
+                checks.add(grids[..., k])
+                if c == classes - 1:
+                    checks.check()
             yield z, c, grids
         except (NodemetryError, OSError) as exc:
             for later in futures:
@@ -359,9 +372,9 @@ def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
     stream on the pool. Every voxel gets the arithmetic of one pass over
     whole grids: each mean is ens.fold_mean, the labels a running argmax
     over ascending classes (ens.take_larger), and each slab passes the checks
-    of the probability Volumes that pass builds: the range and class sums of
-    each fold in fold order, then of the mean (_ClassSums). A stream takes
-    its slabs in order, one write at a time."""
+    of the probability Volumes that pass builds: those of each fold in
+    _class_slabs, then the range and class sums of the mean (_ClassSums). A
+    stream takes its slabs in order, one write at a time."""
     nx, ny, nz = readers[0][0].info.dims
     folds, classes = len(readers), len(readers[0])
     depth = max(1, _SLAB_BYTES // (nx * ny * np.dtype(np.float32).itemsize))
@@ -374,14 +387,12 @@ def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
             mean = ens.fold_mean([grids[..., k] for k in range(folds)])
             slab = labels[:, :, z:z + mean.shape[2]]
             if c == 0:
-                sums = [_ClassSums() for _ in range(folds + 1)]
+                sums = _ClassSums()
                 best = mean.copy(order="F")
                 slab[...] = 0
             else:
                 ens.take_larger(best, slab, mean, c)
-            for k in range(folds):
-                sums[k].add(grids[..., k])
-            sums[-1].add(mean)
+            sums.add(mean)
             if streams:
                 if c in writes:  # the stream's slab before
                     writes[c].result()
@@ -389,8 +400,7 @@ def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
                 writes[c] = pool.submit(streams[c].write, mean.T)
             if c == classes - 1:
                 try:
-                    for checks in sums:
-                        checks.check()
+                    sums.check()
                 except ValidationError as exc:
                     slabs.throw(exc)  # raises the first fault in file order
         for write in writes.values():
@@ -403,8 +413,8 @@ def _stream_loss(paths: list[Path], gt_path) -> float:
     one class grid at a time: each class's metrics.class_loss is added in
     class order, so the value has the bits of composite_loss over the whole
     stack. The class files pass the checks of their stack's probability
-    Volume (_ClassSums) before a fault of the gt is raised: one that cannot
-    be read, lies on another grid or holds a label of C or more."""
+    Volume (in _class_slabs) before a fault of the gt is raised: one that
+    cannot be read, lies on another grid or holds a label of C or more."""
     with ExitStack() as files:
         [readers] = _open_prob_files([paths], files)
         grid = readers[0].info
@@ -415,20 +425,13 @@ def _stream_loss(paths: list[Path], gt_path) -> float:
             fault = None
         except (NodemetryError, OSError) as exc:
             gt, fault = None, exc
-        total, sums = 0.0, _ClassSums()
+        total = 0.0
         with _file_pool(len(paths)) as pool:
             # one class grid read ahead: a class's loss takes longer than its
             # read, so more would only hold more grids
-            slabs = _class_slabs([readers], grid.dims[2], pool, 1)
-            for _, c, grids in slabs:
-                sums.add(grids[..., 0])
+            for _, c, grids in _class_slabs([readers], grid.dims[2], pool, 1):
                 if fault is None:
                     total += metrics.class_loss(grids[..., 0], gt.data, c)
-                if c == len(paths) - 1:
-                    try:
-                        sums.check()
-                    except ValidationError as exc:
-                        slabs.throw(exc)
     if fault is not None:
         raise fault
     return total / len(paths)

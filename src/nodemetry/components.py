@@ -272,14 +272,19 @@ def label_components(mask, connectivity: int = 26) -> ComponentSet:
     return _component_set(shape, keys, labels, count, connectivity)
 
 
+def check_min_voxels(min_voxels: int) -> None:
+    """Reject a min_voxels below 1, before any mask is read or labeled."""
+    if min_voxels < 1:
+        raise ValidationError(f"min_voxels must be >= 1, got {min_voxels}")
+
+
 def filter_components(cset: ComponentSet, min_voxels: int = 1) -> ComponentSet:
     """Drop components below min_voxels and re-densify indices.
 
     The default min_voxels=1 is a no-op: evaluation applies no post-processing,
     this is an optional analysis utility.
     """
-    if min_voxels < 1:
-        raise ValidationError(f"min_voxels must be >= 1, got {min_voxels}")
+    check_min_voxels(min_voxels)
     if min_voxels == 1:
         return cset
     keep = cset.sizes >= min_voxels

@@ -19,9 +19,9 @@ of zero blocks a .nii write left unwritten) is passed over unread: the
 file system is asked where the next data byte is, and one without holes
 reports every byte as data. Holes are this module's business alone: a pass
 gets only the chunks that were read, and every voxel outside them is zero.
-read_volume and VolumeFile go through one payload reader (Payload), with the
-same checks; a command that streams many files at once holds one Payload
-per file.
+Every read parses its header in Payload and decodes voxels in its one
+decoder, decode_into: open_volume, read_volume, VolumeFile.chunks() and a
+command that streams many files at once (one Payload per file).
 Every file is written through volume_streams, a piece at a time (deflated,
 or with holes for a .nii); write_volume feeds it chunks of whole z-slices of
 a grid, write_labels such chunks built from the keys of a label grid.
@@ -169,7 +169,7 @@ def _affine_from_header(hdr, spacing) -> np.ndarray:
     return identity_affine(spacing)
 
 
-def _parse_header(raw: bytes, path) -> tuple[HeaderInfo, np.void]:
+def _parse_header(raw: bytes, path) -> HeaderInfo:
     if len(raw) < HEADER_SIZE:
         raise NiftiFormatError(f"{path}: file shorter than the 348-byte NIfTI-1 header")
     size_le = int(np.frombuffer(raw[:4], "<i4")[0])
@@ -239,7 +239,7 @@ def _parse_header(raw: bytes, path) -> tuple[HeaderInfo, np.void]:
         # it would turn every voxel into the same non-finite value
         raise NiftiFormatError(f"{path}: scl_inter {info.scl_inter} with scl_slope "
                                f"{info.scl_slope}")
-    return info, hdr
+    return info
 
 
 class _GzipReader:
@@ -258,12 +258,6 @@ class _GzipReader:
         self._f, self._path = f, path
         self._inflater = zlib.decompressobj(31)
         self._pending = b""  # compressed input not yet inflated
-
-    def read(self, size: int) -> bytes:
-        """Up to size inflated bytes, fewer only where the stream ends; for
-        the header, whose size is fixed."""
-        buf = bytearray(size)
-        return bytes(buf[:self.readinto(buf)])
 
     def readinto(self, buf) -> int:
         """Fill buf with inflated bytes; the count, short only where the stream ends."""
@@ -317,13 +311,6 @@ class _GzipReader:
                 return out
 
 
-def _open_for_read(f, path):
-    """f itself, or a _GzipReader over it when it starts with the gzip magic."""
-    head = f.read(2)
-    f.seek(0)
-    return _GzipReader(f, path) if head == b"\x1f\x8b" else f
-
-
 class Payload:
     """The voxel payload of an open NIfTI-1 file, read front to back into
     the caller's buffers: a whole grid and a reused chunk buffer are filled
@@ -343,11 +330,15 @@ class Payload:
 
     def __init__(self, raw, path):
         self._raw, self._path = raw, path
-        self._f = _open_for_read(raw, path)
-        self.header = bytes(self._f.read(HEADER_SIZE))
-        self.info, _ = _parse_header(self.header, path)
+        self._f = _GzipReader(raw, path) if raw.read(2) == b"\x1f\x8b" else raw
+        raw.seek(0)
+        header = bytearray(HEADER_SIZE)
+        self.header = bytes(header[:self._f.readinto(header)])
+        self.info = _parse_header(self.header, path)
         self.dtype = np.dtype(DTYPE_FOR_CODE[self.info.datatype_code]).newbyteorder(
             self.info.byte_order)
+        # what decoded voxels are: float32 when scaled, else stored, in native order
+        self.decoded = np.dtype(np.float32) if self.info.scaled else self.dtype.newbyteorder("=")
         self.nbytes = math.prod(self.info.dims) * self.dtype.itemsize
         self._done = 0
         size = os.fstat(raw.fileno()).st_size
@@ -394,15 +385,28 @@ class Payload:
 
     def decode_into(self, out: np.ndarray) -> None:
         """Fill out, a Fortran-contiguous grid of whole z-slices, with the
-        next out.size voxels, decoded as read_volume decodes them and cast to
-        out's dtype; straight into out when the file stores that dtype,
-        unscaled, in native byte order."""
-        if out.dtype == self.dtype and not self.info.scaled:
-            self.readinto(out.reshape(-1, order="F").view(np.uint8))
+        next out.size voxels, scaled as the header says in float32
+        arithmetic and cast to out's dtype. When out has the decoded dtype of
+        an unscaled file, the bytes go straight into it (swapped there when
+        the file is big-endian); otherwise through one staging piece of at
+        most _SCAN_CHUNK stored bytes. After the last voxel it finishes."""
+        flat = out.reshape(-1, order="F")
+        if out.dtype == self.decoded and not self.info.scaled:
+            self.readinto(flat.view(np.uint8))
+            if not self.dtype.isnative:
+                flat.byteswap(inplace=True)
         else:
-            buf = np.empty(out.size * self.dtype.itemsize, dtype=np.uint8)
-            self.readinto(buf)
-            out[...] = self.decode(buf, out.shape)
+            step = max(1, _SCAN_CHUNK // self.dtype.itemsize)
+            piece = np.empty(min(step, flat.size), self.dtype)
+            for start in range(0, flat.size, step):
+                part = piece[:flat.size - start]
+                self.readinto(part.view(np.uint8))
+                if self.info.scaled:
+                    # values past the float32 range become inf, as the header asks
+                    with np.errstate(over="ignore"):
+                        part = (part.astype(np.float32) * np.float32(self.info.scl_slope)
+                                + np.float32(self.info.scl_inter))
+                flat[start:start + len(part)] = part
         if self._done == self.nbytes:
             self.finish()
 
@@ -419,20 +423,6 @@ class Payload:
             if self._done < self.nbytes:
                 raise self._truncated(self._done)
         self.finish()
-
-    def decode(self, buf: np.ndarray, shape) -> np.ndarray:
-        """The voxels in buf as a Fortran-ordered grid of the given shape, in
-        native byte order, scaled as the header says in float32 arithmetic."""
-        data = buf.view(self.dtype)
-        if self.info.byte_order == ">":
-            data = data.astype(self.dtype.newbyteorder("="))
-        data = data.reshape(shape, order="F")
-        if self.info.scaled:
-            # values past the float32 range become inf, as the header asks
-            with np.errstate(over="ignore"):
-                data = (data.astype(np.float32) * np.float32(self.info.scl_slope)
-                        + np.float32(self.info.scl_inter))
-        return data
 
     def _check(self, available: int) -> None:
         if available < self.nbytes:
@@ -455,12 +445,11 @@ def read_volume(path, kind: str | None = None) -> Volume:
     path = Path(path)
     with open(path, "rb") as raw:
         payload = Payload(raw, path)
-        buf = np.empty(payload.nbytes, dtype=np.uint8)
-        payload.readinto(buf)
-        payload.finish()
+        data = np.empty(payload.info.dims, payload.decoded, order="F")
+        payload.decode_into(data)
     info = payload.info
     try:
-        return Volume(payload.decode(buf, info.dims), info.spacing, info.affine,
+        return Volume(data, info.spacing, info.affine,
                       kind=kind or info.kind, description=info.description)
     except ValidationError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
@@ -531,16 +520,13 @@ class VolumeFile:
             if payload.header != self.header:
                 raise NiftiFormatError(f"{self.path}: header changed since the file was opened")
             nx, ny, nz = self.info.dims
-            slab = nx * ny * payload.dtype.itemsize
-            step = max(1, _SCAN_CHUNK // slab)
-            buf = np.empty(min(step, nz) * slab, dtype=np.uint8)
+            step = max(1, _SCAN_CHUNK // (nx * ny * payload.dtype.itemsize))
+            buf = np.empty((nx, ny, min(step, nz)), payload.decoded, order="F")
             for z in range(0, nz, step):
-                depth = min(step, nz - z)
-                view = buf[:depth * slab]
-                if not payload.skip_hole(len(view)):
-                    payload.readinto(view)
-                    yield z * nx * ny, payload.decode(view, (nx, ny, depth))
-            payload.finish()
+                chunk = buf[:, :, :nz - z]
+                if not payload.skip_hole(chunk.size * payload.dtype.itemsize):
+                    payload.decode_into(chunk)
+                    yield z * nx * ny, chunk
 
 
 def open_volume(path) -> VolumeFile:
@@ -548,8 +534,8 @@ def open_volume(path) -> VolumeFile:
     VolumeFile whose voxels are read by the passes that need them."""
     path = Path(path)
     with open(path, "rb") as raw:
-        header = bytes(_open_for_read(raw, path).read(HEADER_SIZE))
-    return VolumeFile(path, header, _parse_header(header, path)[0])
+        payload = Payload(raw, path)
+    return VolumeFile(path, payload.header, payload.info)
 
 
 def _storage_dtype(data: np.ndarray, kind: str) -> np.dtype:

@@ -266,6 +266,32 @@ def test_eval_checks_options_before_reading(tmp_path, monkeypatch):
     assert calls["label_components"] == 0
 
 
+def test_cc_checks_min_voxels_before_reading(tmp_path, monkeypatch, capsys):
+    # a bad --min-voxels is rejected before the mask is read or labeled,
+    # so it exits 1 even where the mask is missing
+    labeled = []
+    monkeypatch.setattr(cli, "label_components", lambda *args: labeled.append(args))
+    write_mask(tmp_path / "m.nii.gz", two_node_arr())
+    for mask in ("m.nii.gz", "missing.nii.gz"):
+        assert main(["cc", "--mask", str(tmp_path / mask), "--min-voxels", "0"]) == 1
+        assert "min_voxels must be >= 1, got 0" in capsys.readouterr().err
+    assert labeled == []
+
+
+def test_fuse_without_anatomy_files_exits_1(tmp_path, capsys):
+    # a lymph-node-only map has no anatomical prior: an anatomy directory
+    # that holds no NIfTI file is refused before --ln is read
+    anatomy = tmp_path / "anatomy"; anatomy.mkdir()
+    (anatomy / "README.txt").write_text("masks go here")
+    write_mask(tmp_path / "ln.nii.gz", two_node_arr())
+    out = tmp_path / "fused.nii.gz"
+    for ln in ("ln.nii.gz", "missing.nii.gz"):
+        assert main(["fuse", "--anatomy-dir", str(anatomy), "--ln", str(tmp_path / ln),
+                     "--out", str(out)]) == 1
+        assert f"no NIfTI files in {anatomy}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--bogus"])
@@ -1050,6 +1076,20 @@ def test_failed_stream_leaves_outputs_as_they_were(tmp_path, monkeypatch, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "probs"]
 
 
+def test_every_fold_is_checked_not_only_the_mean(tmp_path, capsys):
+    # fold 0's class sums are 1.2 and fold 1's 0.8: their mean sums to 1, so
+    # only the check of each fold's class files finds them
+    prob_dir = tmp_path / "probs"; prob_dir.mkdir()
+    for k, share in enumerate((0.6, 0.4)):
+        for c in range(2):
+            nm.write_volume(make_volume(np.full((9, 7, 5), share, np.float32), kind="scalar"),
+                            prob_dir / f"fold{k}_class{c}.nii.gz")
+    out = tmp_path / "merged.nii.gz"
+    assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(out)]) == 1
+    assert "class sums off by 2.00e-01" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_slab_is_reported_after_the_next_slab_reads_end(tmp_path, monkeypatch, capsys):
     # before the files are drained to find an earlier read error, the reads
     # of the next slab must have ended: a file drained while it is being read
@@ -1164,6 +1204,8 @@ def test_file_error_cancels_reads_not_started(tmp_path, monkeypatch):
     decode_into = cli.Payload.decode_into
 
     def slow_decode(payload, out):
+        if "class" not in payload._path.name:  # the gt, read through the same decoder
+            return decode_into(payload, out)
         started.append(payload._path.name)
         if payload._path.name.split("class")[1] > "1":
             time.sleep(0.3)  # holds the one file thread while class1's error is raised

@@ -1,4 +1,5 @@
 import gzip
+import math
 import os
 import struct
 import tracemalloc
@@ -491,30 +492,69 @@ READ_INTO_CASES = {
     "float32": ("<", 16, 32, 0.0, "<f4"),
     "big-endian-float32": (">", 16, 32, 0.0, ">f4"),
     "scaled-int16": ("<", 4, 16, 0.5, "<i2"),
+    "big-endian-scaled-int16": (">", 4, 16, 0.5, ">i2"),
     "uint8": ("<", 2, 8, 0.0, "u1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(READ_INTO_CASES))
 @pytest.mark.parametrize("gz", [False, True])
-def test_decode_into_slabs_equals_read_volume(tmp_path, case, gz):
-    # slab by slab into float32 grids, as ensemble reads its class files:
-    # the values of read_volume, cast to float32
+@pytest.mark.parametrize("scan_chunk", [None, 20], ids=["whole-piece", "piece-cuts-slices"])
+def test_every_read_equals_the_reference_reader(tmp_path, monkeypatch, case, gz, scan_chunk):
+    # read_volume, chunks() and decode_into in slabs of 1, 2 and 5 slices
+    # into float32 grids (as ensemble reads its class files) give the voxels
+    # of the struct-based reader, scaled by the NIfTI rule in float32; a
+    # 20-byte _SCAN_CHUNK cuts the staging piece inside a 12-voxel slice
+    if scan_chunk:
+        monkeypatch.setattr(nifti_io, "_SCAN_CHUNK", scan_chunk)
     order, code, bitpix, slope, dtype = READ_INTO_CASES[case]
     dims = (4, 3, 5)
-    values = (np.arange(60) % 23).astype(dtype).reshape(dims, order="F")
+    values = (np.arange(60) % 23 - (0 if dtype == "u1" else 9)).astype(dtype)
     blob = build_nifti_bytes(order=order, dims=dims, datatype=code, bitpix=bitpix, slope=slope,
-                             inter=1.0 if slope else 0.0, payload=values.tobytes(order="F"))
+                             inter=1.0 if slope else 0.0, payload=values.tobytes())
     path = tmp_path / ("v.nii.gz" if gz else "v.nii")
     path.write_bytes(gzip.compress(blob) if gz else blob)
-    want = np.asarray(nm.read_volume(path).data, np.float32)
-    with open(path, "rb") as raw:
-        payload = nifti_io.Payload(raw, path)
-        for z in range(0, 5, 2):
-            out = np.empty((4, 3, min(2, 5 - z)), np.float32, order="F")
-            payload.decode_into(out)
-            assert np.array_equal(out, want[:, :, z:z + 2])
-        payload.finish()
+    ref = ref_read_nifti(path)
+    want = ref["data"].astype(np.dtype(dtype).newbyteorder("="))
+    if ref["scl_slope"] != 0 and (ref["scl_slope"], ref["scl_inter"]) != (1, 0):
+        want = want.astype(np.float32) * np.float32(ref["scl_slope"]) + np.float32(ref["scl_inter"])
+
+    got = nm.read_volume(path).data
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got = np.zeros(dims, want.dtype, order="F")
+    for start, chunk in nm.open_volume(path).chunks():
+        assert chunk.dtype == want.dtype
+        got.reshape(-1, order="F")[start:start + chunk.size] = chunk.ravel(order="F")
+    assert np.array_equal(got, want)
+    for depth in (1, 2, 5):
+        with open(path, "rb") as raw:
+            payload = nifti_io.Payload(raw, path)
+            for z in range(0, 5, depth):
+                out = np.empty((4, 3, min(depth, 5 - z)), np.float32, order="F")
+                payload.decode_into(out)
+                assert np.array_equal(out, want[:, :, z:z + depth].astype(np.float32))
+
+
+@pytest.mark.parametrize("case", ["big-endian", "scaled"])
+def test_whole_read_of_a_non_native_file_holds_one_grid(tmp_path, case):
+    # a big-endian file is swapped in place and a scaled one is decoded a
+    # bounded piece at a time, so neither holds a second grid beside its own
+    dims, big = (256, 256, 200), case == "big-endian"
+    values = (np.arange(math.prod(dims)) % 1000).astype(">i2" if big else "<i2")
+    path = tmp_path / "v.nii"
+    path.write_bytes(build_nifti_bytes(order=">" if big else "<", dims=dims, datatype=4,
+                                       bitpix=16, slope=0.0 if big else 0.5,
+                                       payload=values.tobytes()))
+    del values
+    tracemalloc.start()
+    try:
+        data = nm.read_volume(path).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.dtype == (np.int16 if big else np.float32)
+    assert data.ravel(order="F")[999] == (999 if big else 499.5)
+    assert peak < data.nbytes + 4 * nifti_io._SCAN_CHUNK, (peak, data.nbytes)
 
 
 @pytest.mark.parametrize("slices", [1, 2, 3, 7])
