@@ -7,7 +7,11 @@ so identical inputs produce byte-identical reports; the console summary
 renders mean +/- std percent-style with one decimal.
 
 Exit codes: 0 success, 1 validation/usage error, 2 I/O or file-format error
-or out of memory.
+or out of memory. A run reports the first fault it meets, in the order it
+reads: every header first, in file order, each grid against the first
+file's, then the voxels: ensemble --prob-dir and loss read them slab by
+slab, class by class and fold by fold (loss reads its gt whole before any
+class voxel); once a fault is found, reads not yet started are cancelled.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import re
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, closing, suppress
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -168,10 +172,9 @@ def _cmd_fuse(args) -> int:
     spec = fusion.load_fusion_spec(args.spec) if args.spec else fusion.default_fusion_spec()
     _config(args, spec=args.spec or "builtin")
 
+    _same_grids(args.ln, files.values())
     anatomy = [(stem, read_volume(path, kind="label")) for stem, path in files.items()]
     ln_mask = read_volume(args.ln, kind="label")
-    for path, (_, vol) in zip(files.values(), anatomy):
-        _same_grid(args.ln, ln_mask, path, vol)
     fused = fusion.fuse(anatomy, ln_mask, spec)
     write_volume(fused, args.out)
     print(f"fused {len(anatomy)} structures + lymph nodes -> {args.out} "
@@ -218,11 +221,9 @@ def _cmd_ensemble(args) -> int:
 
     if args.labels:
         _check_outputs([("--out", args.out)], args.labels)
-        votes = []
-        for path in args.labels:
-            votes.append(read_volume(path, kind="label"))
-            _same_grid(args.labels[0], votes[0], path, votes[-1])
-        folds = ens.FoldSet(tuple(votes), kind="label")
+        _same_grids(args.labels[0], args.labels[1:])
+        folds = ens.FoldSet(tuple(read_volume(p, kind="label") for p in args.labels),
+                            kind="label")
         merged = ens.majority_vote(folds)
         write_volume(merged, args.out)
         print(f"majority vote over {len(folds)} label folds -> {args.out}")
@@ -265,34 +266,26 @@ def _same_grid(first_path, first, path, other) -> None:
         raise type(exc)(f"{first_path} vs {path}: {exc}") from exc
 
 
-def _first_fault(readers, exc: Exception, failed=None) -> Exception:
-    """exc, unless one of readers, read to its end in file order, raises
-    first; a reader whose read already raised (a key of failed) raises that."""
-    for reader in readers:
-        if failed and reader in failed:
-            return failed[reader]
-        reader.drain()
-    return exc
+def _same_grids(first_path, paths) -> None:
+    """Each of paths' headers, in order, on first_path's grid: before any voxel is read."""
+    first = open_volume(first_path)
+    for path in paths:
+        _same_grid(first_path, first, path, open_volume(path))
 
 
 def _open_prob_files(paths: list[list[Path]], files: ExitStack) -> list[list[Payload]]:
-    """The class files of every fold, opened with their headers parsed, each
-    on its fold's first file's grid and every fold's first file on fold 0's.
-    The error reported is that of the first bad file in file order: before a
-    file's error is raised, the files before it are read to their ends."""
-    readers, opened = [], []
+    """The class files of every fold, opened with their headers parsed in
+    file order, each on its fold's first file's grid and every fold's first
+    file on fold 0's; the first bad header raises."""
+    readers = []
     for fold in paths:
         readers.append([])
         for c, path in enumerate(fold):
-            try:
-                reader = Payload(files.enter_context(open(path, "rb")), path)
-                # a class file against its fold's first, a fold's first against fold 0's
-                ref = readers[-1][0] if c else (opened[0] if opened else reader)
-                _same_grid(fold[0] if c else paths[0][0], ref.info, path, reader.info)
-            except (NodemetryError, OSError) as exc:
-                raise _first_fault(opened, exc) from None
+            reader = Payload(files.enter_context(open(path, "rb")), path)
+            # a class file against its fold's first, a fold's first against fold 0's
+            ref = readers[-1][0] if c else (readers[0][0] if readers[0] else reader)
+            _same_grid(fold[0] if c else paths[0][0], ref.info, path, reader.info)
             readers[-1].append(reader)
-            opened.append(reader)
     return readers
 
 
@@ -305,31 +298,24 @@ def _class_slabs(readers: list[list[Payload]], depth: int, pool, ahead: int):
     caller takes them in order, so each file is read front to back by one
     thread at a time. Before a slab's last class is yielded, each fold's
     slab passes, in fold order, the checks of the probability Volume that
-    a whole fold's class stack would build (_ClassSums). The error raised
-    is that of the first file in file order that cannot be read to its end,
-    else the first failed check, here or thrown in at the yield; once one
-    is found, reads not yet started are cancelled, and those running end
-    before any file is drained."""
+    a whole fold's class stack would build (_ClassSums). The first read or
+    check that fails, in that order, raises; on a fault or an early close,
+    reads not yet started are cancelled, and those running end before the
+    generator does, so the caller may close the files."""
     nx, ny, nz = readers[0][0].info.dims
     classes = len(readers[0])
-    opened = [r for fold in readers for r in fold]
-    failed = {}
 
     def read(z: int, c: int) -> np.ndarray:
         grids = np.empty((nx, ny, min(depth, nz - z), len(readers)), dtype=np.float32, order="F")
         for k, fold in enumerate(readers):
-            try:
-                fold[c].decode_into(grids[..., k])
-            except (NodemetryError, OSError) as exc:
-                failed[fold[c]] = exc
-                raise
+            fold[c].decode_into(grids[..., k])
         return grids
 
     tasks = [(z, c) for z in range(0, nz, depth) for c in range(classes)]
     window = min(ahead, classes)
     futures = deque(pool.submit(read, *task) for task in tasks[:window])
-    for i, (z, c) in enumerate(tasks):
-        try:
+    try:
+        for i, (z, c) in enumerate(tasks):
             grids = futures.popleft().result()
             if i + window < len(tasks):
                 futures.append(pool.submit(read, *tasks[i + window]))
@@ -340,11 +326,10 @@ def _class_slabs(readers: list[list[Payload]], depth: int, pool, ahead: int):
                 if c == classes - 1:
                     checks.check()
             yield z, c, grids
-        except (NodemetryError, OSError) as exc:
-            for later in futures:
-                later.cancel()
-            wait(futures)
-            raise _first_fault(opened, exc, failed) from None
+    finally:
+        for later in futures:
+            later.cancel()
+        wait(futures)
 
 
 class _ClassSums:
@@ -380,9 +365,10 @@ def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
     depth = max(1, _SLAB_BYTES // (nx * ny * np.dtype(np.float32).itemsize))
     labels = np.empty((nx, ny, nz), dtype=label_dtype(classes), order="F")
     writes = {}
-    with _file_pool(folds * classes) as pool:
-        # the file threads decode while as many slabs wait for the caller
-        slabs = _class_slabs(readers, depth, pool, 2 * _usable_cpus())
+    # the file threads decode while as many slabs wait for the caller; closing
+    # the slabs before the pool shuts down cancels the reads not yet started
+    with _file_pool(folds * classes) as pool, \
+            closing(_class_slabs(readers, depth, pool, 2 * _usable_cpus())) as slabs:
         for z, c, grids in slabs:
             mean = ens.fold_mean([grids[..., k] for k in range(folds)])
             slab = labels[:, :, z:z + mean.shape[2]]
@@ -399,10 +385,7 @@ def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
                 # a Fortran-ordered slab's transpose is the C-ordered buffer of its bytes
                 writes[c] = pool.submit(streams[c].write, mean.T)
             if c == classes - 1:
-                try:
-                    sums.check()
-                except ValidationError as exc:
-                    slabs.throw(exc)  # raises the first fault in file order
+                sums.check()
         for write in writes.values():
             write.result()
     return labels
@@ -412,28 +395,22 @@ def _stream_loss(paths: list[Path], gt_path) -> float:
     """metrics.composite_loss of the class files against the gt label file,
     one class grid at a time: each class's metrics.class_loss is added in
     class order, so the value has the bits of composite_loss over the whole
-    stack. The class files pass the checks of their stack's probability
-    Volume (in _class_slabs) before a fault of the gt is raised: one that
-    cannot be read, lies on another grid or holds a label of C or more."""
+    stack. The class headers are checked, then the gt (read whole, on their
+    grid, no label of C or more), then each class file as it is read, with
+    the checks of their stack's probability Volume (in _class_slabs)."""
     with ExitStack() as files:
         [readers] = _open_prob_files([paths], files)
         grid = readers[0].info
-        try:
-            gt = read_volume(gt_path, kind="label")
-            _same_grid(paths[0], grid, gt_path, gt)
-            metrics.check_loss_gt(gt, len(paths))
-            fault = None
-        except (NodemetryError, OSError) as exc:
-            gt, fault = None, exc
+        gt = read_volume(gt_path, kind="label")
+        _same_grid(paths[0], grid, gt_path, gt)
+        metrics.check_loss_gt(gt, len(paths))
         total = 0.0
-        with _file_pool(len(paths)) as pool:
-            # one class grid read ahead: a class's loss takes longer than its
-            # read, so more would only hold more grids
-            for _, c, grids in _class_slabs([readers], grid.dims[2], pool, 1):
-                if fault is None:
-                    total += metrics.class_loss(grids[..., 0], gt.data, c)
-    if fault is not None:
-        raise fault
+        # one class grid read ahead: a class's loss takes longer than its
+        # read, so more would only hold more grids
+        with _file_pool(len(paths)) as pool, \
+                closing(_class_slabs([readers], grid.dims[2], pool, 1)) as slabs:
+            for _, c, grids in slabs:
+                total += metrics.class_loss(grids[..., 0], gt.data, c)
     return total / len(paths)
 
 

@@ -113,7 +113,5 @@ def majority_vote(folds: FoldSet) -> Volume:
         votes[:] = 0
         for vol in folds.members:
             votes += vol.data == cid
-        better = votes > best_count
-        best_count[better] = votes[better]
-        best_class[better] = cid
+        take_larger(best_count, best_class, votes, cid)
     return first.with_data(best_class, kind="label", class_count=class_count)

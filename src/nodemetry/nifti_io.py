@@ -21,7 +21,8 @@ reports every byte as data. Holes are this module's business alone: a pass
 gets only the chunks that were read, and every voxel outside them is zero.
 Every read parses its header in Payload and decodes voxels in its one
 decoder, decode_into: open_volume, read_volume, VolumeFile.chunks() and a
-command that streams many files at once (one Payload per file).
+command that streams many files at once (one Payload per file, read front
+to back once).
 Every file is written through volume_streams, a piece at a time (deflated,
 or with holes for a .nii); write_volume feeds it chunks of whole z-slices of
 a grid, write_labels such chunks built from the keys of a label grid.
@@ -323,9 +324,9 @@ class Payload:
     largest ratio times the compressed size bounds it, and past that bound
     the stream is inflated through, in chunks, to count what it holds.
     readinto fills a whole buffer or raises TruncatedFileError, and decode_into
-    fills a grid with decoded voxels. finish, after the last read (decode_into
-    calls it), inflates a .nii.gz to the end of its stream, so that every
-    trailer is checked.
+    fills a Fortran-contiguous grid with decoded voxels. finish, after the
+    last read (decode_into calls it), inflates a .nii.gz to the end of its
+    stream, so that every trailer is checked.
     """
 
     def __init__(self, raw, path):
@@ -390,6 +391,8 @@ class Payload:
         an unscaled file, the bytes go straight into it (swapped there when
         the file is big-endian); otherwise through one staging piece of at
         most _SCAN_CHUNK stored bytes. After the last voxel it finishes."""
+        if not out.flags.f_contiguous:  # its Fortran-order reshape would be a copy
+            raise ValueError(f"decode_into needs a Fortran-contiguous grid, got {out.shape}")
         flat = out.reshape(-1, order="F")
         if out.dtype == self.decoded and not self.info.scaled:
             self.readinto(flat.view(np.uint8))
@@ -413,16 +416,6 @@ class Payload:
     def finish(self) -> None:
         if self._f is not self._raw:
             self._f.finish()
-
-    def drain(self) -> None:
-        """Read past the rest of the payload and finish: raises what reading
-        it to the end would. A .nii's size was checked when it was opened."""
-        if self._f is not self._raw:
-            rest = self.nbytes - self._done
-            self._done += self._f.skip(rest)
-            if self._done < self.nbytes:
-                raise self._truncated(self._done)
-        self.finish()
 
     def _check(self, available: int) -> None:
         if available < self.nbytes:

@@ -185,6 +185,35 @@ def test_eval_manifest_repeated_patient_id(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["short-line", "no-pairs", "empty-gt-dir", "missing-pred",
+                                  "no-form"])
+def test_eval_input_errors_exit_1(tmp_path, capsys, case):
+    # each before any file is read: the message, exit 1 and no report
+    write_mask(tmp_path / "g.nii.gz", two_node_arr())
+    manifest, gt_dir, pred_dir = tmp_path / "pairs.csv", tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir(); pred_dir.mkdir()
+    if case == "missing-pred":
+        for stem in ("a", "b"):
+            write_mask(gt_dir / f"{stem}.nii.gz", two_node_arr())
+        write_mask(pred_dir / "a.nii.gz", two_node_arr())
+    manifest.write_text({"short-line": f"# patient_id,gt,pred\npat7,{tmp_path / 'g.nii.gz'}\n",
+                         "no-pairs": "# patient_id,gt,pred\n\n"}.get(case, ""))
+    flags, message = {
+        "short-line": (["--manifest", str(manifest)],
+                       f"{manifest}:2: expected `patient_id,gt_path,pred_path`"),
+        "no-pairs": (["--manifest", str(manifest)], f"{manifest}: no pairs listed"),
+        "empty-gt-dir": (["--gt-dir", str(gt_dir), "--pred-dir", str(pred_dir)],
+                         f"no NIfTI files in {gt_dir}"),
+        "missing-pred": (["--gt-dir", str(gt_dir), "--pred-dir", str(pred_dir)],
+                         "predictions missing for patients: ['b']"),
+        "no-form": ([], "eval needs --gt/--pred, --gt-dir/--pred-dir, or --manifest"),
+    }[case]
+    out = tmp_path / "r.json"
+    assert main(["eval", *flags, "--out-json", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_missing_pred_file(tmp_path):
     write_mask(tmp_path / "g.nii.gz", two_node_arr())
     rc = main(["eval", "--gt", str(tmp_path / "g.nii.gz"),
@@ -504,6 +533,37 @@ def test_ensemble_labels_grid_mismatch_names_both_files(tmp_path, capsys):
     out = tmp_path / "merged.nii.gz"
     assert main(["ensemble", "--labels", *map(str, votes), "--out", str(out)]) == 1
     assert f"{votes[0]} vs {votes[1]}: dims differ on axis 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fuse", "ensemble"])
+def test_grid_fault_in_the_last_mask_is_found_before_any_mask_is_read(tmp_path, monkeypatch,
+                                                                      capsys, command):
+    # fuse and ensemble --labels check every header, in file order, before
+    # they read any mask whole: one on another grid exits 1 naming both files
+    shape, other = (6, 5, 4), (6, 5, 3)
+    anatomy = tmp_path / "anat"; anatomy.mkdir()
+    for name in ("aorta", "liver", "spleen"):
+        write_mask(anatomy / f"{name}.nii.gz", np.zeros(shape))
+    write_mask(anatomy / "stomach.nii.gz", np.zeros(other))  # last in name order
+    ln = tmp_path / "ln.nii.gz"
+    write_mask(ln, np.zeros(shape))
+    votes = [tmp_path / f"fold{k}.nii.gz" for k in range(3)]
+    for k, vote in enumerate(votes):
+        write_mask(vote, np.zeros(other if k == 2 else shape))
+
+    def no_read(path, kind=None):
+        raise AssertionError(f"{path} read whole")
+
+    monkeypatch.setattr(cli, "read_volume", no_read)
+    out = tmp_path / "out.nii.gz"
+    argv, first, last = {
+        "fuse": (["fuse", "--anatomy-dir", str(anatomy), "--ln", str(ln)],
+                 ln, anatomy / "stomach.nii.gz"),
+        "ensemble": (["ensemble", "--labels", *map(str, votes)], votes[0], votes[2]),
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"{first} vs {last}: dims differ on axis 2: 4 vs 3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -946,13 +1006,15 @@ def _break_grid(path):
 @pytest.mark.parametrize("command", ["ensemble", "loss"])
 @pytest.mark.parametrize("faults, code", [({2: _break_crc}, 2), ({2: _break_grid}, 1),
                                           ({1: _break_grid, 3: _break_crc}, 1),
-                                          ({1: _break_crc, 3: _break_grid}, 2)],
+                                          ({1: _break_crc, 3: _break_grid}, 1)],
                          ids=["crc", "grid", "grid-then-crc", "crc-then-grid"])
-def test_first_bad_class_file_in_file_order_is_reported(tmp_path, capsys, command, faults,
-                                                         code):
-    # class files are read in parallel, but the error is that of the first bad
-    # file in file order: a corrupt file exits 2 naming it, a file on another
-    # grid exits 1 naming the fold's first file and itself
+def test_first_bad_class_file_in_file_order_is_reported(tmp_path, monkeypatch, capsys, command,
+                                                         faults, code):
+    # class files are read in parallel, but the error is the first one the
+    # run meets in its own order: every header first, in file order, then the
+    # voxels class by class. A file on another grid exits 1 naming the fold's
+    # first file and itself, before a corrupt file (found once it is read to
+    # its end) exits 2 naming it; on one CPU as on four
     prob_dir = tmp_path / "probs"
     prefix = "fold1_" if command == "ensemble" else ""
     write_fold_probs(prob_dir, folds=2 if command == "ensemble" else None, classes=5)
@@ -962,13 +1024,16 @@ def test_first_bad_class_file_in_file_order_is_reported(tmp_path, capsys, comman
     out = tmp_path / "merged.nii.gz"
     argv = {"ensemble": ["ensemble", "--prob-dir", str(prob_dir), "--out", str(out)],
             "loss": ["loss", "--prob-dir", str(prob_dir), "--gt", str(tmp_path / "gt.nii.gz")]}
-    assert main(argv[command]) == code
-    err = capsys.readouterr().err
-    first_bad = min(faults)
-    named = [n for n in (f"{prefix}class{c}.nii.gz" for c in range(5)) if n in err]
-    assert named == ([f"{prefix}class0.nii.gz"] if code == 1 else []) + \
-        [f"{prefix}class{first_bad}.nii.gz"]
-    assert not out.exists()
+    first_bad = min((c for c, breaker in faults.items() if breaker is _break_grid),
+                    default=min(faults))
+    for cpus in ("one-cpu", "four-cpus"):
+        CPU_SETUPS[cpus](monkeypatch)
+        assert main(argv[command]) == code
+        err = capsys.readouterr().err
+        named = [n for n in (f"{prefix}class{c}.nii.gz" for c in range(5)) if n in err]
+        assert named == ([f"{prefix}class0.nii.gz"] if code == 1 else []) + \
+            [f"{prefix}class{first_bad}.nii.gz"], cpus
+        assert not out.exists()
 
 
 def test_streamed_ensemble_under_thread_stress(tmp_path, monkeypatch):
@@ -1041,9 +1106,9 @@ def _break_sums(path):
     ({"fold2_class3": _truncate}, 2, "fold2_class3"),
     ({"fold2_class3": _break_crc}, 2, "fold2_class3"),
     ({"fold1_class2": _break_sums}, 1, "class sums"),
-    ({"fold0_class1": _break_sums, "fold2_class3": _break_crc}, 2, "fold2_class3"),
+    ({"fold0_class1": _break_sums, "fold2_class3": _break_crc}, 1, "class sums"),
     ({"fold2_class3": _overlong}, 2, "fold2_class3"),
-    ({"fold0_class1": _break_crc, "fold2_class3": _truncate}, 2, "fold0_class1"),
+    ({"fold0_class1": _break_crc, "fold2_class3": _truncate}, 2, "fold2_class3"),
     ({}, 2, "nodir"),
 ], ids=["truncated-last", "crc-last", "bad-sums", "bad-sums-then-crc", "over-long-last",
         "crc-then-truncated", "missing-out-dir"])
@@ -1054,8 +1119,9 @@ def test_failed_stream_leaves_outputs_as_they_were(tmp_path, monkeypatch, capsys
     # its end) is bad, or slab 2 holds bad sums, or every file is sound and
     # --out names a missing directory: exit 2, 2, 1 or 2, after some mean
     # slabs were written; --out and --out-probs hold what they held,
-    # with no temp file. A file that cannot be read to its end is reported
-    # before bad values in any file.
+    # with no temp file. Of two faults, the one met first in read order is
+    # reported: slab 2's bad sums before a CRC checked after slab 4, and a
+    # stream that ends mid-file before a CRC checked at its end.
     CPU_SETUPS[cpus](monkeypatch)
     monkeypatch.setattr(cli, "_SLAB_BYTES", 9 * 7 * 4)  # one slice per slab
     prob_dir = tmp_path / "probs"
@@ -1088,38 +1154,6 @@ def test_every_fold_is_checked_not_only_the_mean(tmp_path, capsys):
     assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(out)]) == 1
     assert "class sums off by 2.00e-01" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_bad_slab_is_reported_after_the_next_slab_reads_end(tmp_path, monkeypatch, capsys):
-    # before the files are drained to find an earlier read error, the reads
-    # of the next slab must have ended: a file drained while it is being read
-    # would be read by two threads at once
-    CPU_SETUPS["four-cpus"](monkeypatch)
-    monkeypatch.setattr(cli, "_SLAB_BYTES", 9 * 7 * 4)  # one slice per slab
-    prob_dir = tmp_path / "probs"
-    write_fold_probs(prob_dir, folds=2, classes=3)
-    _break_sums(prob_dir / "fold0_class1.nii.gz")
-    busy, overlaps = set(), []
-    decode_into, drain = cli.Payload.decode_into, cli.Payload.drain
-
-    def slow_decode(payload, out):
-        busy.add(payload)
-        time.sleep(0.05)
-        try:
-            decode_into(payload, out)
-        finally:
-            busy.discard(payload)
-
-    def watched_drain(payload):
-        overlaps.append(payload in busy)
-        drain(payload)
-
-    monkeypatch.setattr(cli.Payload, "decode_into", slow_decode)
-    monkeypatch.setattr(cli.Payload, "drain", watched_drain)
-    assert main(["ensemble", "--prob-dir", str(prob_dir),
-                 "--out", str(tmp_path / "merged.nii.gz")]) == 1
-    assert "class sums" in capsys.readouterr().err
-    assert len(overlaps) == 6 and not any(overlaps)
 
 
 @pytest.mark.parametrize("fold, cls", [(0, 0), (0, 3), (1, 0), (2, 2)])
@@ -1197,7 +1231,8 @@ def test_loss_child_holds_no_class_stack(tmp_path):
 
 
 def test_file_error_cancels_reads_not_started(tmp_path, monkeypatch):
-    # loss, and ensemble --prob-dir on one fold, read through the same slab reader
+    # loss, and ensemble --prob-dir on one fold, read through the same slab
+    # reader; a read that fails and a check that fails cancel alike
     CPU_SETUPS["one-cpu"](monkeypatch)
     write_mask(tmp_path / "gt.nii.gz", np.zeros((9, 7, 5), np.uint8))
     started = []
@@ -1207,11 +1242,12 @@ def test_file_error_cancels_reads_not_started(tmp_path, monkeypatch):
         if "class" not in payload._path.name:  # the gt, read through the same decoder
             return decode_into(payload, out)
         started.append(payload._path.name)
-        if payload._path.name.split("class")[1] > "1":
-            time.sleep(0.3)  # holds the one file thread while class1's error is raised
+        if hold(payload):
+            time.sleep(0.3)  # holds the one file thread while the error is raised
         return decode_into(payload, out)
 
     monkeypatch.setattr(cli.Payload, "decode_into", slow_decode)
+    hold = lambda payload: payload._path.name.split("class")[1] > "1"
     for command, prefix in (("loss", ""), ("ensemble", "fold0_")):
         prob_dir = tmp_path / command
         write_fold_probs(prob_dir, folds=None if command == "loss" else 1, classes=6)
@@ -1224,41 +1260,152 @@ def test_file_error_cancels_reads_not_started(tmp_path, monkeypatch):
         assert started[:2] == [f"{prefix}class0.nii.gz", f"{prefix}class1.nii.gz"]
         assert len(started) <= 3, (command, started)
 
+    # one slice per slab: fold0_class1's slice 2 has bad class sums, found
+    # after slab 2's last class is read, while slab 3's first read runs
+    monkeypatch.setattr(cli, "_SLAB_BYTES", 9 * 7 * 4)
+    hold = lambda payload: payload._done >= 3 * 9 * 7 * 4
+    prob_dir = tmp_path / "sums"
+    write_fold_probs(prob_dir, folds=1, classes=6)
+    _break_sums(prob_dir / "fold0_class1.nii.gz")
+    started.clear()
+    assert main(["ensemble", "--prob-dir", str(prob_dir),
+                 "--out", str(tmp_path / "merged.nii.gz")]) == 1
+    # slabs 0 to 2, and at most the read that was running when the check failed
+    assert len(started) <= 3 * 6 + 1, started
 
 
-def test_fault_of_a_later_read_in_flight_counts_in_file_order(tmp_path, monkeypatch, capsys):
-    # the reads of classes 0 and 1 run at once; fold1_class0's fails, and
-    # so, while it is reported, does fold0_class1's, which comes first in
-    # file order: that fault is raised, not the one of fold1_class0, even
-    # where the file itself could be read on (a read that raised is not
-    # read again)
-    CPU_SETUPS["four-cpus"](monkeypatch)
+def test_write_fault_cancels_reads_not_started(tmp_path, monkeypatch, capsys):
+    # one file thread, one slice per slab, and a mean file that cannot be
+    # written: its fault is raised at the next slab of its class, while the
+    # thread writes another class's slab; the reads queued behind that write
+    # are cancelled, not run before the pool shuts down
+    CPU_SETUPS["one-cpu"](monkeypatch)
+    monkeypatch.setattr(cli, "_SLAB_BYTES", 9 * 7 * 4)
+    prob_dir = tmp_path / "probs"
+    write_fold_probs(prob_dir, folds=1, classes=3)
+    started = []
+    decode_into = cli.Payload.decode_into
+
+    def watched(payload, out):
+        started.append(payload._path.name)
+        return decode_into(payload, out)
+
+    class SlowStream:
+        def __init__(self, stream, full):
+            self._stream, self._full = stream, full
+
+        def write(self, data):
+            time.sleep(0.1)
+            if self._full:
+                raise OSError(28, "No space left on device")
+            self._stream.write(data)
+
+    streams = cli.volume_streams
+
+    @contextmanager
+    def failing(*args):
+        with streams(*args) as opened:
+            yield [SlowStream(stream, c == 0) for c, stream in enumerate(opened)]
+
+    monkeypatch.setattr(cli.Payload, "decode_into", watched)
+    monkeypatch.setattr(cli, "volume_streams", failing)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--prob-dir", str(prob_dir), "--out", str(out / "merged.nii.gz"),
+                 "--out-probs", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    # slab 0 and slab 1's class 0; running the queued reads would add two
+    assert len(started) <= 3 + 1 + 1, started
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ensemble", "loss"])
+def test_grid_fault_in_the_last_class_file_is_found_before_any_voxel(tmp_path, monkeypatch,
+                                                                      capsys, command):
+    # every class header is checked before any voxel is read: nothing is
+    # decoded, and no file is inflated past its header and extension flag
+    prob_dir = tmp_path / "probs"
+    prefix = "fold1_" if command == "ensemble" else ""
+    write_fold_probs(prob_dir, folds=2 if command == "ensemble" else None, classes=4)
+    _break_grid(prob_dir / f"{prefix}class3.nii.gz")
+    write_mask(tmp_path / "gt.nii.gz", np.zeros((9, 7, 5), np.uint8))
+    inflated = Counter()
+    inflate = nifti_io._GzipReader._inflate
+
+    def counted(reader, limit):
+        out = inflate(reader, limit)
+        inflated[reader._path.name] += len(out or b"")
+        return out
+
+    def no_decode(payload, out):
+        raise AssertionError(f"{payload._path.name} decoded")
+
+    monkeypatch.setattr(nifti_io._GzipReader, "_inflate", counted)
+    monkeypatch.setattr(cli.Payload, "decode_into", no_decode)
+    argv = {"ensemble": ["--out", str(tmp_path / "merged.nii.gz")],
+            "loss": ["--gt", str(tmp_path / "gt.nii.gz")]}[command]
+    assert main([command, "--prob-dir", str(prob_dir), *argv]) == 1
+    assert (f"{prefix}class0.nii.gz vs {prob_dir / f'{prefix}class3.nii.gz'}: dims differ"
+            in capsys.readouterr().err)
+    assert len(inflated) == (8 if command == "ensemble" else 4)
+    assert max(inflated.values()) <= nifti_io.MIN_VOX_OFFSET, inflated
+
+
+def test_loss_gt_fault_is_found_before_any_class_voxel(tmp_path, monkeypatch, capsys):
+    prob_dir = tmp_path / "probs"
+    write_fold_probs(prob_dir, folds=None, classes=3)
+    labels = np.zeros((9, 7, 5), np.uint8)
+    labels[1, 2, 3] = 3
+    write_mask(tmp_path / "gt.nii.gz", labels)
+    decoded = []
+    decode_into = cli.Payload.decode_into
+
+    def watched(payload, out):
+        decoded.append(payload._path.name)
+        return decode_into(payload, out)
+
+    monkeypatch.setattr(cli.Payload, "decode_into", watched)
+    assert main(["loss", "--prob-dir", str(prob_dir), "--gt", str(tmp_path / "gt.nii.gz")]) == 1
+    assert "gt label 3 outside the 3 probability classes" in capsys.readouterr().err
+    assert decoded == ["gt.nii.gz"]
+
+
+def test_fault_of_a_later_read_in_flight_counts_in_read_order(tmp_path, monkeypatch, capsys):
+    # on four CPUs the reads of classes 0 and 1 run at once; fold0_class1's
+    # fails first in time, but fold1_class0's comes first in read order (the
+    # classes in ascending order, each fold by fold): that fault is raised,
+    # on four CPUs as on one
     prob_dir = tmp_path / "probs"
     write_fold_probs(prob_dir, folds=2, classes=2)
     decode_into = cli.Payload.decode_into
 
     def failing_decode(payload, out):
         if payload._path.name == "fold1_class0.nii.gz":
-            time.sleep(0.1)  # fold0_class1's read has started by now
+            time.sleep(0.1)  # fold0_class1's read has failed by now
             raise OSError("fold1_class0 fault")
         if payload._path.name == "fold0_class1.nii.gz":
             raise OSError("fold0_class1 fault")
         return decode_into(payload, out)
 
     monkeypatch.setattr(cli.Payload, "decode_into", failing_decode)
-    assert main(["ensemble", "--prob-dir", str(prob_dir),
-                 "--out", str(tmp_path / "merged.nii.gz")]) == 2
-    assert "fold0_class1 fault" in capsys.readouterr().err
+    for cpus in ("four-cpus", "one-cpu"):
+        CPU_SETUPS[cpus](monkeypatch)
+        assert main(["ensemble", "--prob-dir", str(prob_dir),
+                     "--out", str(tmp_path / "merged.nii.gz")]) == 2
+        err = capsys.readouterr().err
+        assert "fold1_class0 fault" in err and "fold0_class1" not in err, cpus
+
 
 @pytest.mark.parametrize("class_fault, gt_fault, code, named", [
-    (_break_crc, "truncated", 2, "class2.nii.gz"),
-    (_break_sums, "label", 1, "class sums"),
-    (_break_sums, "grid", 1, "class sums"),
+    (_break_crc, "truncated", 2, "gt.nii.gz"),
+    (_break_sums, "label", 1, "gt label 4 outside the 4 probability classes"),
+    (_break_sums, "grid", 1, "gt.nii.gz: dims differ"),
 ], ids=["crc-and-truncated-gt", "sums-and-gt-label", "sums-and-gt-grid"])
-def test_loss_reports_class_file_faults_before_gt_faults(tmp_path, capsys, class_fault, gt_fault,
-                                                          code, named):
-    # a fault in a class file, found only once the files are read, comes
-    # before any fault of --gt; with sound class files the gt's fault shows
+def test_loss_reports_gt_faults_before_class_file_faults(tmp_path, monkeypatch, capsys,
+                                                          class_fault, gt_fault, code, named):
+    # the gt is read and checked after the class headers and before any class
+    # voxel, so its fault comes before one found only once the class files
+    # are read; with a sound gt the class file's fault shows. On one CPU as
+    # on four
     prob_dir, gt, out = tmp_path / "probs", tmp_path / "gt.nii.gz", tmp_path / "loss.json"
     write_fold_probs(prob_dir, folds=None, classes=4)
     class_fault(prob_dir / "class2.nii.gz")
@@ -1268,12 +1415,16 @@ def test_loss_reports_class_file_faults_before_gt_faults(tmp_path, capsys, class
     if gt_fault == "truncated":
         _truncate(gt)
     argv = ["loss", "--prob-dir", str(prob_dir), "--gt", str(gt), "--out-json", str(out)]
-    assert main(argv) == code
+    for cpus in ("one-cpu", "four-cpus"):
+        CPU_SETUPS[cpus](monkeypatch)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert named in err and "class2.nii.gz" not in err and "class sums" not in err, cpus
+    write_mask(gt, np.zeros((9, 7, 5), np.uint8))
+    assert main(argv) == (2 if class_fault is _break_crc else 1)
     err = capsys.readouterr().err
-    assert named in err and "gt.nii.gz" not in err
-    write_fold_probs(prob_dir, folds=None, classes=4)
-    assert main(argv) == (2 if gt_fault == "truncated" else 1)
-    assert named not in capsys.readouterr().err
+    assert ("class2.nii.gz" if class_fault is _break_crc else "class sums") in err
+    assert "gt.nii.gz" not in err
     assert not out.exists()
 
 

@@ -354,6 +354,48 @@ def test_read_reference_written_file(tmp_path):
     assert r.affine[2, 3] == 30.0
 
 
+@pytest.mark.parametrize("dtype, stored, code", [("f8", "f4", 16), ("i8", "i4", 8)])
+def test_dtypes_not_stored_as_they_are(tmp_path, dtype, stored, code):
+    # float64 is stored as float32; int64 within the int32 range as int32
+    rng = np.random.default_rng(7)
+    data = (rng.normal(size=(5, 4, 3)) * 1e3 if dtype == "f8"
+            else rng.integers(-2**31, 2**31, (5, 4, 3))).astype(dtype)
+    path = tmp_path / "v.nii"
+    nm.write_volume(make_volume(data, kind="scalar"), path)
+    assert struct.unpack("<2h", path.read_bytes()[70:74]) == (code, 8 * np.dtype(stored).itemsize)
+    ref = ref_read_nifti(path)
+    assert ref["shape"] == data.shape
+    assert np.array_equal(ref["data"], data.astype(stored))
+
+
+@pytest.mark.parametrize("case", ["int64-out-of-range", "probability"])
+def test_volumes_that_cannot_be_stored_are_refused(tmp_path, case):
+    data, kind, message = {
+        "int64-out-of-range": (np.full((3, 2, 2), 2**31, np.int64), "scalar",
+                               "cannot store dtype int64 in a NIfTI-1 file"),
+        "probability": (np.full((3, 2, 2, 2), 0.5, np.float32), "probability",
+                        "probability volumes are stored one class per file"),
+    }[case]
+    path = tmp_path / "v.nii.gz"
+    with pytest.raises(nm.ValidationError, match=message):
+        nm.write_volume(make_volume(data, kind=kind), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_decode_into_refuses_a_grid_that_is_not_fortran_contiguous(tmp_path):
+    # a C-ordered grid's Fortran-order reshape is a copy: the voxels would be
+    # read into it, the payload would advance, and the grid stay as it was
+    path = tmp_path / "v.nii"
+    nm.write_volume(make_volume(np.arange(60, dtype=np.float32).reshape(4, 3, 5)), path)
+    with open(path, "rb") as raw:
+        payload = nifti_io.Payload(raw, path)
+        with pytest.raises(ValueError, match="Fortran-contiguous"):
+            payload.decode_into(np.zeros((4, 3, 5), np.float32))
+        out = np.zeros((4, 3, 5), np.float32, order="F")
+        payload.decode_into(out)  # nothing was read
+    assert np.array_equal(out, np.arange(60, dtype=np.float32).reshape(4, 3, 5))
+
+
 def test_gzip_output_is_gzip(tmp_path):
     v = make_volume(np.zeros((4, 4, 4), np.uint8))
     nm.write_volume(v, tmp_path / "v.nii.gz")
