@@ -172,6 +172,7 @@ def _cmd_fuse(args) -> int:
     spec = fusion.load_fusion_spec(args.spec) if args.spec else fusion.default_fusion_spec()
     _config(args, spec=args.spec or "builtin")
 
+    fusion.check_structures(files, spec)  # by name, before any header or voxel
     _same_grids(args.ln, files.values())
     anatomy = [(stem, read_volume(path, kind="label")) for stem, path in files.items()]
     ln_mask = read_volume(args.ln, kind="label")
@@ -504,7 +505,7 @@ class _LnForeground(Foreground):
         self.binary = True
 
     def add(self, keys, chunk, start):
-        values = chunk.ravel(order="F")[keys - start]
+        values = chunk.ravel(order="F")[keys]
         if values.dtype.kind == "i" and values.size and values.min() < 0:
             first = values[np.argmax(values < 0)]
             raise ValidationError(f"{self.path}: label grid holds negative value {first}")
@@ -516,7 +517,7 @@ class _LnForeground(Foreground):
                 self.binary = False
                 if self.ln_class != self.value:
                     self._parts = []
-        self._parts.append(keys if self.binary else keys[values == self.ln_class])
+        super().add(keys if self.binary else keys[values == self.ln_class], chunk, start)
 
 
 def _ln_mask(mask: VolumeFile, ln_class: int) -> VolumeFile:

@@ -102,10 +102,12 @@ def majority_vote(folds: FoldSet) -> Volume:
     if class_count is None:
         class_count = int(max(int(v.data.max()) for v in folds.members)) + 1
 
+    # Fortran-ordered, as the folds read from files are: each pass over a
+    # fold and the counts walks both in memory order
     shape = first.dims
-    best_count = np.zeros(shape, dtype=np.uint16)
-    best_class = np.zeros(shape, dtype=label_dtype(class_count))
-    votes = np.empty(shape, dtype=np.uint16)
+    best_count = np.zeros(shape, dtype=np.uint16, order="F")
+    best_class = np.zeros(shape, dtype=label_dtype(class_count), order="F")
+    votes = np.empty(shape, dtype=np.uint16, order="F")
     ids = range(class_count)
     if class_count > 256:  # only the ids some fold holds: no other id wins a voxel
         ids = np.unique(np.concatenate([np.unique(v.data) for v in folds.members])).tolist()

@@ -106,12 +106,17 @@ def default_fusion_spec() -> FusionSpec:
     return load_fusion_spec(Path(__file__).parent / "data" / DEFAULT_SPEC_RESOURCE)
 
 
+def check_structures(names, spec: FusionSpec) -> None:
+    """Reject the first structure name that the spec does not map."""
+    for name in names:
+        if name not in spec.group_map:
+            raise UnknownStructureError(f"structure {name!r} not in fusion spec")
+
+
 def fuse(anatomy, ln_mask: Volume, spec: FusionSpec) -> Volume:
     """Merge (structure name, binary Volume) pairs and an LN mask into one
     label volume under the spec's precedence; lymph nodes always win."""
-    for name, _vol in anatomy:
-        if name not in spec.group_map:
-            raise UnknownStructureError(f"structure {name!r} not in fusion spec")
+    check_structures((name for name, _vol in anatomy), spec)
     for _name, vol in anatomy:
         assert_same_grid(ln_mask, vol)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -94,6 +94,13 @@ def flood_fill_components(mask: np.ndarray, connectivity: int) -> np.ndarray:
                     labels[nb] = next_id
                     queue.append(nb)
     return labels.reshape(padded.shape)[1:-1, 1:-1, 1:-1]
+
+
+def naive_pair_overlaps(gt_keys, gt_labels, pred_keys, pred_labels) -> dict:
+    """{(gt id, pred id): shared voxel count} over the keys both sets hold,
+    found by np.intersect1d."""
+    _, gi, pj = np.intersect1d(gt_keys, pred_keys, assume_unique=True, return_indices=True)
+    return dict(Counter(zip(gt_labels[gi].tolist(), pred_labels[pj].tolist())))
 
 
 def naive_evaluate(gt: np.ndarray, pred: np.ndarray, measurements, threshold_mm: float,

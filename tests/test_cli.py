@@ -567,6 +567,31 @@ def test_grid_fault_in_the_last_mask_is_found_before_any_mask_is_read(tmp_path, 
     assert not out.exists()
 
 
+def test_unknown_structure_is_refused_before_any_file_is_opened(tmp_path, monkeypatch, capsys):
+    # the stems are known from the directory listing: a name the spec does not
+    # map is refused before any header is parsed or any mask read
+    anatomy = tmp_path / "anat"; anatomy.mkdir()
+    for name in ("aorta", "flux_capacitor", "liver", "spleen"):
+        write_mask(anatomy / f"{name}.nii.gz", np.zeros((64, 64, 48), np.uint8))
+    ln = tmp_path / "ln.nii.gz"
+    write_mask(ln, np.zeros((64, 64, 48), np.uint8))
+    opened = []
+
+    def spy(fn):
+        def opening(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return fn(path, *args, **kwargs)
+        return opening
+
+    monkeypatch.setattr(cli, "read_volume", spy(cli.read_volume))
+    monkeypatch.setattr(cli, "open_volume", spy(cli.open_volume))
+    out = tmp_path / "fused.nii.gz"
+    assert main(["fuse", "--anatomy-dir", str(anatomy), "--ln", str(ln), "--out", str(out)]) == 1
+    assert "structure 'flux_capacitor' not in fusion spec" in capsys.readouterr().err
+    assert opened == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("out", ["{tmp}/mean/mean_class1.nii.gz", "probs/../probs/fold1_class0.nii.gz"],
                          ids=["an-out-probs-file", "an-input"])
 def test_ensemble_out_that_names_another_file_of_the_run_exits_1(tmp_path, monkeypatch, capsys,
@@ -822,6 +847,27 @@ def test_ensemble_class_files_cover_0_to_c_minus_1(tmp_path, capsys):
     assert rc == 1
     assert "0..C-1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ensemble", "loss"])
+@pytest.mark.parametrize("files", ["none", "other-pattern", "no-match"])
+def test_prob_dir_without_class_files_exits_1(tmp_path, capsys, command, files):
+    # ensemble reads fold{K}_class{C} files and loss class{C} files: a
+    # directory that holds none of its pattern is refused, whatever else it holds
+    prob_dir = tmp_path / "probs"
+    prob_dir.mkdir()
+    other = "class0.nii.gz" if command == "ensemble" else "fold0_class0.nii.gz"
+    write_probs(prob_dir, {"none": [], "other-pattern": [other],
+                           "no-match": ["mean_class0.nii.gz", "fold0_class0_old.nii.gz"]}[files])
+    write_mask(tmp_path / "gt.nii.gz", np.zeros((5, 5, 3), np.uint8))
+    out = tmp_path / "out.nii.gz"
+    argv = {"ensemble": ["ensemble", "--prob-dir", str(prob_dir), "--out", str(out)],
+            "loss": ["loss", "--prob-dir", str(prob_dir), "--gt", str(tmp_path / "gt.nii.gz"),
+                     "--out-json", str(tmp_path / "loss.json")]}[command]
+    assert main(argv) == 1
+    pattern = "fold{K}_class{C}" if command == "ensemble" else "class{C}"
+    assert f"no {pattern}.nii[.gz] files in {prob_dir}" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "loss.json").exists()
 
 
 @pytest.mark.parametrize("command", ["ensemble", "loss"])

@@ -169,6 +169,27 @@ def test_hilbert_path_is_one_component(connectivity, plane):
     assert cset.sizes.tolist() == [int(grid.sum())]
 
 
+# at least 60 examples; more under --hypothesis-profile=ci
+@settings(max_examples=max(60, settings().max_examples), deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 12)] * 3), density=st.floats(0.3, 0.5),
+       seed=st.integers(0, 2**32 - 1), connectivity=st.sampled_from(components.CONNECTIVITIES),
+       layout=st.sampled_from(["fortran", "c"]))
+@example(shape=(12, 12, 12), density=0.4, seed=0, connectivity=6, layout="fortran")
+@example(shape=(12, 12, 12), density=0.3, seed=1, connectivity=18, layout="c")
+@example(shape=(12, 12, 12), density=0.5, seed=2, connectivity=26, layout="fortran")
+def test_dense_noise_matches_flood_fill(shape, density, seed, connectivity, layout):
+    # unstructured noise: short runs, each meeting several runs of every
+    # neighbour row, joined one direction at a time; a Fortran-ordered mask's
+    # keys are put in scan order, a C-ordered one's are in it already
+    mask = np.random.default_rng(seed).random(shape) < density
+    cset = nm.label_components(LAYOUTS[layout](mask.astype(np.uint8)), connectivity)
+    expected = flood_fill_components(mask, connectivity)
+    assert cset.count == expected.max()
+    assert np.array_equal(cset.keys, np.flatnonzero(mask))
+    assert np.array_equal(cset.labels, expected[mask])
+    assert cset.labels.dtype == np.min_scalar_type(cset.count)
+
+
 def test_run_ids_number_components_by_first_run(rng):
     # two arms that meet on a later row form one component, numbered by its
     # first run; the lone run between them in scan order comes second

@@ -108,6 +108,16 @@ def test_majority_vote_matches_naive(rng):
     assert np.array_equal(out.data, ref)
 
 
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_majority_vote_of_folds_in_either_layout_matches_naive(rng, order):
+    # folds read from files are Fortran-ordered, as the vote's counts are
+    folds = tuple(make_volume(np.asarray(rng.integers(0, 5, (7, 6, 5)), np.uint8, order=order),
+                              kind="label", class_count=5) for _ in range(5))
+    assert all(f.data.flags[f"{order}_CONTIGUOUS"] for f in folds)
+    out = nm.majority_vote(nm.FoldSet(folds, "label"))
+    assert np.array_equal(out.data, naive_majority([f.data for f in folds], 5))
+
+
 @pytest.mark.parametrize("high", [70000, 2**31 - 1])
 def test_majority_vote_on_large_ids_matches_naive(rng, high):
     # the vote looped over every id up to the largest: 2**31 - 1 never ended

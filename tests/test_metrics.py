@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 import nodemetry as nm
 from hypothesis.extra import numpy as hnp
-from nodemetry.metrics import (BCE_CLAMP, _bce_arrays, _pair_overlaps,
+from nodemetry.metrics import (BCE_CLAMP, _bce_arrays, _pair_overlaps, _shared_keys,
                                _soft_dice_arrays, class_loss)
 from conftest import make_volume
-from oracles import naive_composite_loss, naive_dice, naive_evaluate
+from oracles import naive_composite_loss, naive_dice, naive_evaluate, naive_pair_overlaps
 
 
 def binvol(data, spacing=(1.0, 1.0, 1.0)):
@@ -352,6 +353,40 @@ def test_pair_overlaps_match_dense_count(pair, connectivity):
     got = {(int(i), int(j)): int(c) for i, j, c in zip(gt_ids, pred_ids, counts)}
     assert got == dict(expected)
     assert list(got) == sorted(got)  # rows come sorted by (gt, pred)
+
+
+@st.composite
+def keyed_sets(draw):
+    """A component set's keys and ids: sorted unique keys, perhaps none, each
+    with an id in 1..count."""
+    top = draw(st.integers(0, 300))
+    keys = np.array(sorted(draw(st.sets(st.integers(0, top), max_size=80))), np.int64)
+    count = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(1, count), min_size=len(keys), max_size=len(keys)))
+    return SimpleNamespace(keys=keys, labels=np.array(labels, np.uint8), count=count)
+
+
+def _keyed(keys, count=1):
+    keys = np.array(keys, np.int64)
+    return SimpleNamespace(keys=keys, labels=np.ones(len(keys), np.uint8), count=count)
+
+
+# at least 300 examples; more under --hypothesis-profile=ci
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
+@given(gt=keyed_sets(), pred=keyed_sets())
+@example(gt=_keyed([]), pred=_keyed([]))
+@example(gt=_keyed([3, 9]), pred=_keyed([]))
+@example(gt=_keyed([]), pred=_keyed([0, 7]))
+@example(gt=_keyed([2, 5, 40]), pred=_keyed([5, 6]))   # keys past the other's last
+@example(gt=_keyed([0, 1, 2]), pred=_keyed([0, 1, 2]))
+def test_pair_overlaps_match_intersect1d(gt, pred):
+    _, gi, pj = np.intersect1d(gt.keys, pred.keys, assume_unique=True, return_indices=True)
+    shared = _shared_keys(gt.keys, pred.keys)
+    assert np.array_equal(shared[0], gi) and np.array_equal(shared[1], pj)
+    gt_ids, pred_ids, counts = _pair_overlaps(gt, pred)
+    got = {(int(i), int(j)): int(c) for i, j, c in zip(gt_ids, pred_ids, counts)}
+    assert got == naive_pair_overlaps(gt.keys, gt.labels, pred.keys, pred.labels)
+    assert list(got) == sorted(got)
 
 
 @settings(max_examples=200, deadline=None)
