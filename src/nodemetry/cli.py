@@ -22,7 +22,6 @@ import os
 import re
 import sys
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, closing, suppress
 from dataclasses import replace
 from functools import partial
@@ -30,8 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ensemble as ens
-from . import fusion, metrics, morphometry, phantom
+# fusion, ensemble, metrics, morphometry, phantom and concurrent.futures are
+# imported by the commands that use them, in the main thread: a child loads
+# only what its command runs, and no module is first loaded in a pool thread
 from .components import Foreground, check_min_voxels, filter_components, label_components
 from .errors import NiftiFormatError, NodemetryError, ValidationError
 from .nifti_io import (DTYPE_FOR_CODE, Payload, VolumeFile, _replacing, open_volume, read_volume,
@@ -150,8 +150,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _file_pool(files: int) -> ThreadPoolExecutor:
+def _file_pool(files: int):
     """A thread per usable CPU, at most one per file (zlib releases the GIL)."""
+    from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(max_workers=max(1, min(files, _usable_cpus())))
 
 
@@ -165,6 +166,7 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_fuse(args) -> int:
+    from . import fusion
     files = _nifti_files(args.anatomy_dir)
     if not files:  # a map with no anatomical prior is no fusion
         raise ValidationError(f"no NIfTI files in {args.anatomy_dir}")
@@ -202,6 +204,7 @@ def _cmd_cc(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from . import morphometry
     _config(args)
     _check_outputs([("--out", args.out)], [args.mask])
 
@@ -214,6 +217,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
+    from . import ensemble as ens
     if bool(args.labels) == bool(args.prob_dir):
         raise ValidationError("ensemble needs either --labels files or --prob-dir")
     if args.labels and args.out_probs:
@@ -303,6 +307,7 @@ def _class_slabs(readers: list[list[Payload]], depth: int, pool, ahead: int):
     check that fails, in that order, raises; on a fault or an early close,
     reads not yet started are cancelled, and those running end before the
     generator does, so the caller may close the files."""
+    from concurrent.futures import wait
     nx, ny, nz = readers[0][0].info.dims
     classes = len(readers[0])
 
@@ -361,6 +366,7 @@ def _stream_mean(readers: list[list[Payload]], streams) -> np.ndarray:
     of the probability Volumes that pass builds: those of each fold in
     _class_slabs, then the range and class sums of the mean (_ClassSums). A
     stream takes its slabs in order, one write at a time."""
+    from . import ensemble as ens
     nx, ny, nz = readers[0][0].info.dims
     folds, classes = len(readers), len(readers[0])
     depth = max(1, _SLAB_BYTES // (nx * ny * np.dtype(np.float32).itemsize))
@@ -399,6 +405,7 @@ def _stream_loss(paths: list[Path], gt_path) -> float:
     stack. The class headers are checked, then the gt (read whole, on their
     grid, no label of C or more), then each class file as it is read, with
     the checks of their stack's probability Volume (in _class_slabs)."""
+    from . import metrics
     with ExitStack() as files:
         [readers] = _open_prob_files([paths], files)
         grid = readers[0].info
@@ -425,8 +432,13 @@ def _pair_volumes(args) -> list[tuple[str, Path, Path]]:
     if args.gt and args.pred:
         return [(_volume_stem(Path(args.gt)), Path(args.gt), Path(args.pred))]
     if args.manifest:
+        try:
+            text = Path(args.manifest).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{args.manifest}: not UTF-8 text ({exc.reason} at byte "
+                                  f"{exc.start})") from None
         pairs, seen = [], {}
-        for lineno, raw in enumerate(Path(args.manifest).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -455,6 +467,7 @@ def _pair_volumes(args) -> list[tuple[str, Path, Path]]:
 
 
 def _patient_payload(report: metrics.PatientReport) -> dict:
+    from . import morphometry
     return {
         "patient_id": report.patient_id,
         "dice_all": report.dice_all,
@@ -469,6 +482,7 @@ def _patient_payload(report: metrics.PatientReport) -> dict:
 
 
 def _print_cohort_summary(cohort: metrics.CohortReport, threshold: float) -> None:
+    from . import metrics
     names = {
         metrics.STRATUM_LARGE: f"Dice (LN >= {threshold:g}mm)",
         metrics.STRATUM_SMALL: f"Dice (LN < {threshold:g}mm)",
@@ -530,6 +544,9 @@ def _ln_mask(mask: VolumeFile, ln_class: int) -> VolumeFile:
 
 
 def _cmd_eval(args) -> int:
+    from . import metrics
+    if args.threshold_mm is None:
+        args.threshold_mm = metrics.DEFAULT_SAD_THRESHOLD_MM
     metrics.check_eval_options(args.threshold_mm, args.match_min_overlap)
     if args.ln_class < 1:  # 0 is background; no voxel holds a negative class
         raise ValidationError(f"--ln-class must be >= 1, got {args.ln_class}")
@@ -555,6 +572,7 @@ def _cmd_eval(args) -> int:
             raise type(exc)(f"{gt_path} vs {pred_path}: {exc}") from exc
 
     if args.jobs > 1 and len(pairs) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(one, pairs))
     else:
@@ -584,6 +602,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
+    from . import morphometry, phantom
     _config(args)
     _check_outputs([("--out", args.out), ("--out-expected", args.out_expected)], [args.spec])
 
@@ -650,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt-dir", default=None)
     p.add_argument("--pred-dir", default=None)
     p.add_argument("--manifest", default=None, help="CSV of patient_id,gt_path,pred_path")
-    p.add_argument("--threshold", type=float, default=metrics.DEFAULT_SAD_THRESHOLD_MM,
+    p.add_argument("--threshold", type=float, default=None,
                    dest="threshold_mm", metavar="THRESHOLD",
                    help="SAD stratification threshold in mm (default 8.0)")
     p.add_argument("--connectivity", type=int, default=26, choices=(6, 18, 26))

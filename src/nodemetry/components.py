@@ -6,9 +6,9 @@ from disk): an in-memory grid is one chunk, a file (nifti_io.VolumeFile) is
 read chunk by chunk into one reused buffer, so labeling a file never holds
 its grid; nifti_io passes over the chunks that lie in holes of the file, so
 they are neither read nor scanned. Per chunk, an occupancy scan finds the
-slabs holding any foreground, and the nonzero voxels are found only inside
-the runs of occupied slabs, through a bool mask of each run. A float mask
-that holds NaN there is rejected: NaN is neither foreground nor background.
+slabs holding any foreground, and the nonzero voxels are found only in
+those, through a bool mask of one slab at a time. A float mask that holds
+NaN there is rejected: NaN is neither foreground nor background.
 The foreground keys are then put in the labeled grid's scan order (for a
 canonicalized file, by permuting and flipping their coordinates) and
 labeled as runs along rows joined by a union-find (run-based labeling, He,
@@ -134,25 +134,30 @@ def _chunk_keys(chunk: np.ndarray, source) -> np.ndarray:
     """Ascending offsets, in memory order, of the nonzero voxels of a
     Fortran-contiguous chunk of whole slabs (along its last axis).
 
-    An occupancy reduction over contiguous memory finds the runs of slabs
-    holding foreground. Within each run, while the chunk is still in cache,
-    flatnonzero walks a bool mask of the nonzero voxels (several times
-    faster than on the raw values, with the same result), and a float run is
-    checked for NaN at those voxels; source names the mask in that error.
+    An occupancy reduction over contiguous memory finds the slabs holding
+    foreground, and the keys are written into one array sized by their
+    nonzero counts. In each occupied slab, one at a time, while the chunk is
+    still in cache, flatnonzero walks a bool mask of the slab's nonzero
+    voxels (several times faster than on the raw values, with the same
+    result): the scan holds one slab's mask and keys besides the chunk's
+    keys. A float slab is checked for NaN at those voxels; source names the
+    mask in that error.
     """
     nx, ny, nz = chunk.shape
     occupied = chunk.reshape((nx * ny, nz), order="F").any(axis=0)
-    edges = np.flatnonzero(np.diff(occupied, prepend=False, append=False)).tolist()
-    parts = []
-    for a, b in zip(edges[::2], edges[1::2]):
-        run = chunk[:, :, a:b].ravel(order="F")
-        keys = np.flatnonzero(run != 0)
-        if run.dtype.kind == "f" and np.isnan(run[keys]).any():
+    slabs = np.flatnonzero(occupied).tolist()
+    counts = [np.count_nonzero(chunk[:, :, z]) for z in slabs]
+    keys = np.empty(sum(counts), dtype=np.int64)
+    at = 0
+    for z, n in zip(slabs, counts):
+        slab = chunk[:, :, z].ravel(order="F")
+        found = np.flatnonzero(slab != 0)
+        if slab.dtype.kind == "f" and np.isnan(slab[found]).any():
             raise ValidationError(f"{source} holds NaN voxels, neither foreground nor "
                                   "background")
-        keys += a * (nx * ny)
-        parts.append(keys)
-    return _joined(parts)
+        np.add(found, z * (nx * ny), out=keys[at:at + n])
+        at += n
+    return keys
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:

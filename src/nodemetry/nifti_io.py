@@ -31,7 +31,6 @@ a grid, write_labels such chunks built from the keys of a label grid.
 from __future__ import annotations
 
 import errno
-import gzip
 import math
 import os
 import zlib
@@ -678,6 +677,8 @@ def volume_streams(paths, grid, dtype: np.dtype, kind: str,
     block ends without error; otherwise every path keeps its old file."""
     header = _header_bytes(grid.dims, grid.spacing, grid.affine, dtype, kind, description)
     paths = [Path(p) for p in paths]
+    if any(p.suffix == ".gz" for p in paths):
+        import gzip  # only here: a run that writes no .gz never loads it
     with ExitStack() as files:
         raws = [files.enter_context(_replacing(p)) for p in paths]
         # the gzip header names the target, not the temp file; a fixed mtime

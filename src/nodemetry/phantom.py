@@ -204,6 +204,8 @@ def parse_phantom_spec(text: str) -> PhantomSpec:
             elif key == "spacing":
                 spacing = tuple(float(t) for t in toks)
             elif key == "seed":
+                if len(toks) != 1:
+                    raise ValidationError(f"line {lineno}: seed needs one integer, got {len(toks)}")
                 seed = int(toks[0])
             elif key == "node":
                 if len(toks) not in (6, 7):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gzip
 import json
 import os
@@ -211,6 +212,16 @@ def test_eval_input_errors_exit_1(tmp_path, capsys, case):
     out = tmp_path / "r.json"
     assert main(["eval", *flags, "--out-json", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_manifest_not_utf8_exits_1(tmp_path, capsys):
+    # a manifest that is no UTF-8 text ended in an uncaught UnicodeDecodeError
+    manifest = tmp_path / "pairs.csv"
+    manifest.write_bytes(b"\xff\xfepat7,g.nii.gz,p.nii.gz\n")
+    out = tmp_path / "r.json"
+    assert main(["eval", "--manifest", str(manifest), "--out-json", str(out)]) == 1
+    assert f"error: {manifest}: not UTF-8 text" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1031,8 +1042,9 @@ def test_file_threads_are_min_of_files_and_usable_cpus(tmp_path, monkeypatch, cp
     write_fold_probs(tmp_path / "probs", folds=None, classes=classes)
     write_mask(tmp_path / "gt.nii.gz", np.zeros((9, 7, 5), np.uint8))
     sizes = []
-    pool = cli.ThreadPoolExecutor
-    monkeypatch.setattr(cli, "ThreadPoolExecutor",
+    # _file_pool imports the executor from concurrent.futures when a pool starts
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         lambda max_workers: sizes.append(max_workers) or pool(max_workers))
     assert main(["loss", "--prob-dir", str(tmp_path / "probs"),
                  "--gt", str(tmp_path / "gt.nii.gz")]) == 0

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import nodemetry as nm
 from nodemetry import components
@@ -328,3 +331,49 @@ def test_nan_in_a_float_mask_is_rejected(wrap):
     data[4, 5, 6] = np.nan
     with pytest.raises(nm.ValidationError, match="mask holds NaN"):
         nm.label_components(wrap(data))
+
+
+@st.composite
+def slab_chunks(draw):
+    """Fortran-ordered chunks whose slabs along the last axis are each empty,
+    partly or fully occupied, in a dtype the mask files come in."""
+    dtype = draw(st.sampled_from([np.uint8, np.int16, np.float32]))
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    fills = draw(st.lists(st.sampled_from(["empty", "part", "full"]), min_size=1, max_size=8))
+    chunk = np.zeros((nx, ny, len(fills)), dtype, order="F")
+    for z, fill in enumerate(fills):
+        if fill != "empty":
+            low = 0 if dtype == np.uint8 else -3
+            values = draw(hnp.arrays(dtype, (nx, ny), elements=st.integers(low, 3)))
+            if fill == "full":
+                values[values == 0] = 1
+            chunk[:, :, z] = values
+    return chunk
+
+
+@settings(deadline=None)
+@given(chunk=slab_chunks(), nan_at=st.none() | st.integers(0, 10 ** 6))
+def test_chunk_keys_are_the_flat_nonzero_offsets(chunk, nan_at):
+    if nan_at is None or chunk.dtype.kind != "f":
+        assert np.array_equal(components._chunk_keys(chunk, "mask"),
+                              np.flatnonzero(chunk.ravel(order="F")))
+    else:
+        chunk.ravel(order="K")[nan_at % chunk.size] = np.nan
+        with pytest.raises(nm.ValidationError, match="mask holds NaN"):
+            components._chunk_keys(chunk, "mask")
+
+
+def test_scan_holds_one_slab_mask_not_one_of_the_chunk():
+    # a thin node through all 64 slabs of a 4 MiB chunk: one mask of the
+    # occupied slabs would take 4 MiB, the mask of one slab takes 64 KiB
+    nx, ny, nz = 256, 256, 64
+    chunk = np.zeros((nx, ny, nz), np.uint8, order="F")
+    chunk[100:103, 40:43, :] = 1
+    tracemalloc.start()
+    try:
+        keys, shape = components._foreground_keys(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shape == (nx, ny, nz) and len(keys) == 9 * nz
+    assert peak < 2 * nx * ny, peak

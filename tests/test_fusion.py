@@ -67,6 +67,37 @@ def test_precedence_must_cover_targets():
         nm.parse_fusion_spec("a = 1\nb = 2\n[precedence]\n1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a = 1\n[classes]\n", "line 2: unknown section [classes]"),
+    ("a = 1\n[precedence]\n1 x\n", "line 3: bad class id 'x'"),
+    ("a = 1\nb\n", "line 2: expected `name = class_id`, got 'b'"),
+    ("a = one\n", "line 1: bad class id 'one'"),
+    ("a = -3\n", "line 1: negative class id -3"),
+    ("# nothing mapped\n[precedence]\n1\n", "fusion spec maps no structures"),
+    ("a = 1\nb = 2\n[precedence]\n1, 2, 1\n", "duplicate class id in precedence"),
+], ids=["section", "precedence-id", "no-equals", "class-id", "negative", "empty",
+        "duplicate-precedence"])
+def test_spec_errors_name_their_line(text, message):
+    with pytest.raises(nm.ValidationError) as err:
+        nm.parse_fusion_spec(text)
+    assert str(err.value) == message
+
+
+def test_bad_spec_file_exits_1_before_any_mask_is_read(tmp_path, capsys):
+    from nodemetry.cli import main
+    anatomy = tmp_path / "anatomy"
+    anatomy.mkdir()
+    nm.write_volume(binary((4, 4, 3), [(1, 1, 1)]), anatomy / "spleen.nii")
+    nm.write_volume(binary((4, 4, 3), [(2, 2, 2)]), tmp_path / "ln.nii")
+    spec = tmp_path / "spec.map"
+    spec.write_text("spleen = 1\nnodes = 2\n[precedence]\n1 two\n")
+    out = tmp_path / "fused.nii"
+    assert main(["fuse", "--anatomy-dir", str(anatomy), "--ln", str(tmp_path / "ln.nii"),
+                 "--spec", str(spec), "--out", str(out)]) == 1
+    assert "error: line 4: bad class id 'two'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fuse_single_structure():
     spec = nm.parse_fusion_spec(SMALL_SPEC)
     shape = (4, 4, 4)
@@ -132,6 +163,13 @@ def test_extract_negative_class_rejected(class_count, class_id):
                          class_count=class_count)
     with pytest.raises(nm.ValidationError, match=f"negative class id {class_id}"):
         nm.extract_class(labels, class_id)
+
+
+def test_extract_class_beyond_declared_count_rejected():
+    labels = make_volume(np.array([[[0, 1], [2, 4]]], np.uint8), kind="label", class_count=5)
+    with pytest.raises(nm.ValidationError) as err:
+        nm.extract_class(labels, 5)
+    assert str(err.value) == "class id 5 outside declared class count 5"
 
 
 def test_extract_background_is_complement():

@@ -1,7 +1,9 @@
-"""No command loads scipy: the package and its CLI need numpy only.
+"""What each command's fresh interpreter loads: no command loads scipy (the
+package and its CLI need numpy only), `import nodemetry` loads no submodule,
+and a child loads only the modules its command runs.
 
-Each check runs in a fresh interpreter, since the test process itself may
-have scipy loaded already.
+Each check runs in a fresh interpreter, since the test process itself has
+scipy and every nodemetry module loaded already.
 """
 
 import json
@@ -18,13 +20,12 @@ from conftest import make_volume
 
 SRC = str(Path(nm.__file__).resolve().parents[1])
 
-# prints the loaded scipy modules after the snippet ran
-_REPORT = ("\nimport json, sys\n"
-           "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+# prints every loaded module after the snippet ran
+_REPORT = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 
 
-def scipy_modules(snippet: str) -> set[str]:
-    """scipy modules in sys.modules after snippet runs in a fresh interpreter."""
+def loaded_modules(snippet: str) -> set[str]:
+    """The modules in sys.modules after snippet runs in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", snippet + _REPORT],
@@ -33,8 +34,26 @@ def scipy_modules(snippet: str) -> set[str]:
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
 
 
+def scipy_modules(snippet: str) -> set[str]:
+    return {m for m in loaded_modules(snippet) if m.split(".")[0] == "scipy"}
+
+
 def test_import_cli_loads_no_scipy():
     assert scipy_modules("import nodemetry, nodemetry.cli") == set()
+
+
+def test_import_nodemetry_loads_no_submodule_and_every_name_resolves():
+    assert {m for m in loaded_modules("import nodemetry") if m.startswith("nodemetry.")} == set()
+    names = loaded_modules("import nodemetry\n"
+                           "for name in nodemetry.__all__:\n"
+                           "    getattr(nodemetry, name)\n")
+    assert {m for m in names if m.startswith("nodemetry.")} == {
+        f"nodemetry.{m}" for m in ("components", "ensemble", "errors", "fusion", "metrics",
+                                   "morphometry", "nifti_io", "phantom", "volume")}
+    assert len(nm.__all__) == len(set(nm.__all__)) == 47
+    assert set(nm.__all__) <= set(dir(nm))
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        nm.missing
 
 
 def _write(path, data, kind):
@@ -96,3 +115,21 @@ def test_commands_load_no_scipy(tiny_inputs, cmd):
                f"assert main({argv!r}) == 0\n")
     assert scipy_modules(snippet) == set()
 
+
+
+# modules a command that writes no .nii.gz and starts no pool has no use for
+_UNUSED = {"nodemetry.phantom", "nodemetry.fusion", "nodemetry.ensemble", "concurrent.futures",
+           "gzip"}
+
+
+@pytest.mark.parametrize("cmd", ["cc", "measure", "eval"])
+def test_commands_load_only_what_they_run(tiny_inputs, cmd):
+    d = tiny_inputs
+    argv = {"cc": ["cc", "--mask", f"{d}/labels0.nii.gz", "--out-labels", f"{d}/cc.nii",
+                   "--out-summary", f"{d}/cc.json"],
+            "measure": ["measure", "--mask", f"{d}/labels1.nii.gz", "--out", f"{d}/nodes.csv"],
+            "eval": ["eval", "--gt", f"{d}/labels0.nii.gz", "--pred", f"{d}/labels1.nii.gz",
+                     "--out-json", f"{d}/e.json"]}[cmd]
+    snippet = ("from nodemetry.cli import main\n"
+               f"assert main({argv!r}) == 0\n")
+    assert loaded_modules(snippet) & _UNUSED == set()

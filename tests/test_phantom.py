@@ -142,6 +142,18 @@ def test_parse_phantom_spec_errors():
         parse_phantom_spec("dims = 4 4 x\nspacing = 1 1 1\nnode = 1 1 1 1 1 1\n")
 
 
+@pytest.mark.parametrize("value, count", [("", 0), (" 1 2", 2)], ids=["none", "two"])
+def test_phantom_seed_takes_one_integer(tmp_path, capsys, value, count):
+    # `seed =` ended in an uncaught IndexError; `seed = 1 2` kept the 1
+    from nodemetry.cli import main
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"dims = 24 24 24\nspacing = 1 1 1\nseed ={value}\nnode = 10 10 10 3 3 3\n")
+    out = tmp_path / "ph.nii"
+    assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 1
+    assert f"error: line 3: seed needs one integer, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["node = 10 10 10 nan 3 3", "node = nan 10 10 3 3 3",
                                   "node = 10 10 10 3 3 3 nan", "spacing = nan 1 1"],
                          ids=["semiaxis", "center", "rotation", "spacing"])
