@@ -8,10 +8,11 @@ renders mean +/- std percent-style with one decimal.
 
 Exit codes: 0 success, 1 validation/usage error, 2 I/O or file-format error
 or out of memory. A run reports the first fault it meets, in the order it
-reads: every header first, in file order, each grid against the first
-file's, then the voxels: ensemble --prob-dir and loss read them slab by
-slab, class by class and fold by fold (loss reads its gt whole before any
-class voxel); once a fault is found, reads not yet started are cancelled.
+reads: every header first, in file order (loss's --gt after its class
+files), each grid against the first file's, then the voxels: ensemble
+--prob-dir and loss read them slab by slab, class by class and fold by fold
+(loss reads its gt whole before any class voxel); once a fault is found,
+reads not yet started are cancelled.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import re
 import sys
 from collections import deque
 from contextlib import ExitStack, closing, suppress
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -33,7 +34,7 @@ import numpy as np
 # imported by the commands that use them, in the main thread: a child loads
 # only what its command runs, and no module is first loaded in a pool thread
 from .components import Foreground, check_min_voxels, filter_components, label_components
-from .errors import NiftiFormatError, NodemetryError, ValidationError
+from .errors import NiftiFormatError, NodemetryError, ValidationError, read_utf8
 from .nifti_io import (DTYPE_FOR_CODE, Payload, VolumeFile, _replacing, open_volume, read_volume,
                        volume_streams, write_labels, write_volume)
 from .volume import Volume, assert_same_grid, canonicalize, check_probabilities, label_dtype
@@ -160,6 +161,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; the toolkit reserves 2 for I/O
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -175,7 +177,8 @@ def _cmd_fuse(args) -> int:
     _config(args, spec=args.spec or "builtin")
 
     fusion.check_structures(files, spec)  # by name, before any header or voxel
-    _same_grids(args.ln, files.values())
+    with ExitStack() as opened:
+        _open_files([[args.ln, *files.values()]], opened)
     anatomy = [(stem, read_volume(path, kind="label")) for stem, path in files.items()]
     ln_mask = read_volume(args.ln, kind="label")
     fused = fusion.fuse(anatomy, ln_mask, spec)
@@ -226,7 +229,8 @@ def _cmd_ensemble(args) -> int:
 
     if args.labels:
         _check_outputs([("--out", args.out)], args.labels)
-        _same_grids(args.labels[0], args.labels[1:])
+        with ExitStack() as opened:
+            _open_files([args.labels], opened)
         folds = ens.FoldSet(tuple(read_volume(p, kind="label") for p in args.labels),
                             kind="label")
         merged = ens.majority_vote(folds)
@@ -241,7 +245,7 @@ def _cmd_ensemble(args) -> int:
     _check_outputs([*(("--out-probs", t) for t in targets), ("--out", args.out)],
                    [path for fold in paths for path in fold])
     with ExitStack() as files:
-        readers = _open_prob_files(paths, files)
+        readers = _open_files(paths, files)
         grid = readers[0][0].info
         made = []
         if out_dir:
@@ -263,33 +267,23 @@ def _cmd_ensemble(args) -> int:
     return 0
 
 
-def _same_grid(first_path, first, path, other) -> None:
-    """assert_same_grid(first, other), its error led by the two files' names."""
-    try:
-        assert_same_grid(first, other)
-    except NodemetryError as exc:
-        raise type(exc)(f"{first_path} vs {path}: {exc}") from exc
-
-
-def _same_grids(first_path, paths) -> None:
-    """Each of paths' headers, in order, on first_path's grid: before any voxel is read."""
-    first = open_volume(first_path)
-    for path in paths:
-        _same_grid(first_path, first, path, open_volume(path))
-
-
-def _open_prob_files(paths: list[list[Path]], files: ExitStack) -> list[list[Payload]]:
-    """The class files of every fold, opened with their headers parsed in
-    file order, each on its fold's first file's grid and every fold's first
-    file on fold 0's; the first bad header raises."""
+def _open_files(paths: list[list[Path]], files: ExitStack) -> list[list[Payload]]:
+    """The files of every group (a fold's class files, say), opened with
+    their headers parsed in file order, each on its group's first file's
+    grid and every group's first file on group 0's: the first bad header
+    raises, its grid fault led by the two files' names. Every command that
+    reads many files checks their headers here before it reads any voxel."""
     readers = []
-    for fold in paths:
+    for group in paths:
         readers.append([])
-        for c, path in enumerate(fold):
+        for c, path in enumerate(group):
             reader = Payload(files.enter_context(open(path, "rb")), path)
-            # a class file against its fold's first, a fold's first against fold 0's
+            # a file against its group's first, a group's first against group 0's
             ref = readers[-1][0] if c else (readers[0][0] if readers[0] else reader)
-            _same_grid(fold[0] if c else paths[0][0], ref.info, path, reader.info)
+            try:
+                assert_same_grid(ref.info, reader.info)
+            except NodemetryError as exc:
+                raise type(exc)(f"{group[0] if c else paths[0][0]} vs {path}: {exc}") from exc
             readers[-1].append(reader)
     return readers
 
@@ -402,15 +396,15 @@ def _stream_loss(paths: list[Path], gt_path) -> float:
     """metrics.composite_loss of the class files against the gt label file,
     one class grid at a time: each class's metrics.class_loss is added in
     class order, so the value has the bits of composite_loss over the whole
-    stack. The class headers are checked, then the gt (read whole, on their
-    grid, no label of C or more), then each class file as it is read, with
-    the checks of their stack's probability Volume (in _class_slabs)."""
+    stack. The class headers are checked, then the gt's (on their grid),
+    then the gt (read whole, no label of C or more), then each class file as
+    it is read, with the checks of their stack's probability Volume (in
+    _class_slabs)."""
     from . import metrics
     with ExitStack() as files:
-        [readers] = _open_prob_files([paths], files)
+        readers, _ = _open_files([paths, [gt_path]], files)
         grid = readers[0].info
         gt = read_volume(gt_path, kind="label")
-        _same_grid(paths[0], grid, gt_path, gt)
         metrics.check_loss_gt(gt, len(paths))
         total = 0.0
         # one class grid read ahead: a class's loss takes longer than its
@@ -432,13 +426,8 @@ def _pair_volumes(args) -> list[tuple[str, Path, Path]]:
     if args.gt and args.pred:
         return [(_volume_stem(Path(args.gt)), Path(args.gt), Path(args.pred))]
     if args.manifest:
-        try:
-            text = Path(args.manifest).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{args.manifest}: not UTF-8 text ({exc.reason} at byte "
-                                  f"{exc.start})") from None
         pairs, seen = [], {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(read_utf8(args.manifest).splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -467,18 +456,11 @@ def _pair_volumes(args) -> list[tuple[str, Path, Path]]:
 
 
 def _patient_payload(report: metrics.PatientReport) -> dict:
+    """The report's fields in declaration order, its nodes last."""
     from . import morphometry
-    return {
-        "patient_id": report.patient_id,
-        "dice_all": report.dice_all,
-        "dice_large": report.dice_large,
-        "dice_small": report.dice_small,
-        "gt_node_count": report.gt_node_count,
-        "detected_count": report.detected_count,
-        "unmatched_pred_count": report.unmatched_pred_count,
-        "nodes": [{**{c: getattr(m, c) for c in morphometry.MEASUREMENT_COLUMNS}, "dice": d}
-                  for m, d in report.per_node],
-    }
+    return {**{f.name: getattr(report, f.name) for f in fields(report) if f.name != "per_node"},
+            "nodes": [{**{c: getattr(m, c) for c in morphometry.MEASUREMENT_COLUMNS}, "dice": d}
+                      for m, d in report.per_node]}
 
 
 def _print_cohort_summary(cohort: metrics.CohortReport, threshold: float) -> None:
@@ -582,13 +564,8 @@ def _cmd_eval(args) -> int:
     cohort = metrics.aggregate(reports)
     payload = _report(
         {k: v for k, v in config.items() if k != "pairs"},
-        cohort={
-            "n_patients": cohort.n_patients,
-            **{
-                s: {"mean": st.mean, "std": st.std, "n": st.n}
-                for s, st in cohort.strata.items()
-            },
-        },
+        cohort={"n_patients": cohort.n_patients,
+                **{s: asdict(st) for s, st in cohort.strata.items()}},
         patients=[_patient_payload(r) for r in reports],
     )
     if args.out_json:

@@ -36,14 +36,10 @@ class FoldSet:
         first = self.members[0]
         for vol in self.members[1:]:
             assert_same_grid(first, vol)
-        if self.kind == "probability":
-            shapes = {v.data.shape[3] for v in self.members}
-            if len(shapes) > 1:
-                raise ValidationError(f"folds disagree on class count: {sorted(shapes)}")
-        else:
-            counts = {v.class_count for v in self.members if v.class_count is not None}
-            if len(counts) > 1:
-                raise ValidationError(f"folds disagree on class count: {sorted(counts)}")
+        # a probability Volume's class_count is its trailing axis
+        counts = {v.class_count for v in self.members if v.class_count is not None}
+        if len(counts) > 1:
+            raise ValidationError(f"folds disagree on class count: {sorted(counts)}")
 
     def __len__(self) -> int:
         return len(self.members)

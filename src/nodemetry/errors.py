@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its one text-file reader.
 
 ValidationError and its subclasses map to CLI exit code 1,
 NiftiFormatError and plain I/O errors map to exit code 2.
 """
+
+from pathlib import Path
 
 
 class NodemetryError(Exception):
@@ -35,3 +37,12 @@ class UnsupportedDatatypeError(NiftiFormatError):
 
 class TruncatedFileError(NiftiFormatError):
     """Voxel payload shorter than the header promises."""
+
+
+def read_utf8(path) -> str:
+    """The text of a spec or manifest file; one that is not UTF-8 is a ValidationError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                              f"{exc.start})") from None

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UnknownStructureError, ValidationError
+from .errors import UnknownStructureError, ValidationError, read_utf8
 from .volume import Volume, assert_same_grid, label_dtype
 
 DEFAULT_SPEC_RESOURCE = "priors_29.map"
@@ -98,7 +98,7 @@ def parse_fusion_spec(text: str) -> FusionSpec:
 
 
 def load_fusion_spec(path) -> FusionSpec:
-    return parse_fusion_spec(Path(path).read_text(encoding="utf-8"))
+    return parse_fusion_spec(read_utf8(path))
 
 
 def default_fusion_spec() -> FusionSpec:

@@ -64,16 +64,11 @@ class CohortReport:
 def dice(a: Volume, b: Volume) -> float:
     """Dice overlap 2|A n B| / (|A| + |B|); two empty masks agree perfectly (1.0)."""
     assert_same_grid(a, b)
-    return _dice_masks(a.data != 0, b.data != 0)
-
-
-def _dice_masks(a: np.ndarray, b: np.ndarray) -> float:
-    na = int(np.count_nonzero(a))
-    nb = int(np.count_nonzero(b))
+    a, b = a.data != 0, b.data != 0
+    na, nb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
     if na + nb == 0:
         return 1.0
-    inter = int(np.count_nonzero(a & b))
-    return 2.0 * inter / (na + nb)
+    return 2.0 * int(np.count_nonzero(a & b)) / (na + nb)
 
 
 def soft_dice(prob: Volume, gt: Volume) -> float:

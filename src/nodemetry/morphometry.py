@@ -172,7 +172,7 @@ def _measure(labels: np.ndarray, voxels: np.ndarray, volume: Volume) -> list[Nod
     """
     if not is_canonical(volume):
         raise ValidationError("volume must be canonicalized (axial-last) for measurement")
-    sx, sy, _ = volume.spacing
+    sx, sy, sz = volume.spacing
     counts, lab, k, x, y, chain = _slice_chains(labels, voxels)
     keep = _peel(x, y, chain)
     hx, hy = x[keep], y[keep]
@@ -203,7 +203,7 @@ def _measure(labels: np.ndarray, voxels: np.ndarray, volume: Volume) -> list[Nod
             np.hypot((hx[b] - hx[a]) * sx, (hy[b] - hy[a]) * sy), np.cumsum(pairs) - pairs) / 2
     return [
         NodeMeasurement(component_index=node, sad_mm=w, sad_slice_index=z, long_axis_mm=d,
-                        volume_mm3=count * volume.voxel_volume_mm3, voxel_count=count)
+                        volume_mm3=count * (sx * sy * sz), voxel_count=count)
         for node, w, z, d, count in zip(lab[nodes].tolist(), sad.tolist(), k[best].tolist(),
                                         long_axis.tolist(), counts.tolist())
     ]
@@ -238,8 +238,6 @@ def measurements_to_csv(measurements) -> str:
     """Per-node table as CSV text (floats fixed at 4 decimals)."""
     lines = [",".join(MEASUREMENT_COLUMNS)]
     for m in measurements:
-        lines.append(
-            f"{m.component_index},{m.voxel_count},{m.volume_mm3:.4f},"
-            f"{m.sad_mm:.4f},{m.sad_slice_index},{m.long_axis_mm:.4f}"
-        )
+        cells = (getattr(m, c) for c in MEASUREMENT_COLUMNS)
+        lines.append(",".join(f"{v:.4f}" if isinstance(v, float) else str(v) for v in cells))
     return "\n".join(lines) + "\n"

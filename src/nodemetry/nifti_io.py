@@ -451,7 +451,7 @@ def read_volume(path, kind: str | None = None) -> Volume:
 class VolumeFile:
     """A NIfTI-1 file as a volume whose voxels stay on disk.
 
-    dims, spacing, affine, kind and description are those read_volume would
+    dims, spacing, affine and description are those read_volume would
     give, from the header that open_volume reads. chunks() reads the voxels,
     in file order, in chunks of whole z-slices of the file's grid, and
     passes over the chunks that lie in holes of the file unread; a pass
@@ -481,17 +481,8 @@ class VolumeFile:
         self.affine.setflags(write=False)
 
     @property
-    def kind(self) -> str:
-        return self.info.kind
-
-    @property
     def description(self) -> str:
         return self.info.description
-
-    @property
-    def voxel_volume_mm3(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz
 
     def reoriented(self, perm, flips) -> "VolumeFile":
         """This file with the axes of its grid permuted and flipped further:

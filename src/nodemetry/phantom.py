@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_utf8
 from .morphometry import NodeMeasurement
 from .nifti_io import MAX_DIM
 from .volume import Volume, identity_affine
@@ -125,8 +124,8 @@ def generate(spec: PhantomSpec) -> tuple[Volume, list[NodeMeasurement]]:
                 f"too small for spacing {spec.spacing_mm})"
             )
         mask[vox[:, 0], vox[:, 1], vox[:, 2]] = 1
-        first = vox[np.lexsort((vox[:, 2], vox[:, 1], vox[:, 0]))][0]
-        per_node.append((tuple(first), node, vox))
+        # np.argwhere lists voxels in C order: the first is first in scan order
+        per_node.append((tuple(vox[0]), node, vox))
 
     per_node.sort(key=lambda t: t[0])  # scan order, matches component labeling
     voxel_mm3 = float(np.prod(spec.spacing_mm))
@@ -229,4 +228,4 @@ def parse_phantom_spec(text: str) -> PhantomSpec:
 
 
 def load_phantom_spec(path) -> PhantomSpec:
-    return parse_phantom_spec(Path(path).read_text(encoding="utf-8"))
+    return parse_phantom_spec(read_utf8(path))

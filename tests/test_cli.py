@@ -21,6 +21,7 @@ from nodemetry import cli, metrics, nifti_io
 from nodemetry import ensemble as ens
 from nodemetry.cli import main
 from conftest import child_rss_kb, make_volume
+from oracles import naive_majority, ref_read_nifti, replay_precedence
 
 
 def write_mask(path, arr, spacing=(1.0, 1.0, 1.0)):
@@ -225,6 +226,17 @@ def test_eval_manifest_not_utf8_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_patient_id_of_a_gt_without_nii_suffix_is_its_stem(tmp_path):
+    # the file is read by its header, whatever its name
+    write_mask(tmp_path / "scan.nii", two_node_arr())
+    for name in ("p07.img", "pred.img"):
+        (tmp_path / name).write_bytes((tmp_path / "scan.nii").read_bytes())
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--gt", str(tmp_path / "p07.img"), "--pred", str(tmp_path / "pred.img"),
+                 "--out-json", str(out)]) == 0
+    assert json.loads(out.read_text())["patients"][0]["patient_id"] == "p07"
+
+
 def test_eval_missing_pred_file(tmp_path):
     write_mask(tmp_path / "g.nii.gz", two_node_arr())
     rc = main(["eval", "--gt", str(tmp_path / "g.nii.gz"),
@@ -337,6 +349,17 @@ def test_unknown_flag_exits_1(capsys):
         main(["eval", "--bogus"])
     assert exc.value.code == 1
     assert "usage" in capsys.readouterr().err
+    # a missing required flag and a bad value: the usage, then argparse's reason
+    for argv, reason in [
+        (["cc"], "nodemetry cc: error: the following arguments are required: --mask"),
+        (["eval", "--threshold", "abc"],
+         "nodemetry eval: error: argument --threshold: invalid float value: 'abc'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nodemetry ") and err.endswith(f"\n{reason}\n"), err
 
 
 def test_fuse_and_unknown_structure(tmp_path, capsys):
@@ -596,6 +619,13 @@ def test_unknown_structure_is_refused_before_any_file_is_opened(tmp_path, monkey
 
     monkeypatch.setattr(cli, "read_volume", spy(cli.read_volume))
     monkeypatch.setattr(cli, "open_volume", spy(cli.open_volume))
+    payload = cli.Payload
+
+    def parsing(raw, path):  # the header opener of every multi-file command
+        opened.append(Path(path).name)
+        return payload(raw, path)
+
+    monkeypatch.setattr(cli, "Payload", parsing)
     out = tmp_path / "fused.nii.gz"
     assert main(["fuse", "--anatomy-dir", str(anatomy), "--ln", str(ln), "--out", str(out)]) == 1
     assert "structure 'flux_capacitor' not in fusion spec" in capsys.readouterr().err
@@ -1427,6 +1457,25 @@ def test_loss_gt_fault_is_found_before_any_class_voxel(tmp_path, monkeypatch, ca
     assert decoded == ["gt.nii.gz"]
 
 
+def test_loss_gt_grid_is_checked_before_its_voxels(tmp_path, monkeypatch, capsys):
+    # --gt's header is checked with the class headers: a gt on another grid
+    # exits 1 naming both files, though its payload is also cut short, and
+    # no file is decoded
+    prob_dir, gt = tmp_path / "probs", tmp_path / "gt.nii.gz"
+    write_fold_probs(prob_dir, folds=None, classes=2)  # 9x7x5
+    # noise, so that half the file still holds the whole header
+    write_mask(gt, np.random.default_rng(0).integers(0, 2, (9, 7, 40), np.uint8))
+    _truncate(gt)
+
+    def no_decode(payload, out):
+        raise AssertionError(f"{payload._path.name} decoded")
+
+    monkeypatch.setattr(cli.Payload, "decode_into", no_decode)
+    assert main(["loss", "--prob-dir", str(prob_dir), "--gt", str(gt)]) == 1
+    assert (f"error: {prob_dir / 'class0.nii.gz'} vs {gt}: dims differ on axis 2: 5 vs 40"
+            in capsys.readouterr().err)
+
+
 def test_fault_of_a_later_read_in_flight_counts_in_read_order(tmp_path, monkeypatch, capsys):
     # on four CPUs the reads of classes 0 and 1 run at once; fold0_class1's
     # fails first in time, but fold1_class0's comes first in read order (the
@@ -1516,3 +1565,81 @@ def test_loss_of_class_major_stack_equals_stacked_oracle(case):
                              kind="probability")
     gt = make_volume(labels, kind="label", class_count=classes)
     assert streamed == metrics.composite_loss(oracle, gt)
+
+
+SUFFIXES = st.sampled_from([".nii", ".nii.gz"])
+
+
+@st.composite
+def fuse_scenes(draw):
+    """Masks of 1-4 structures, then the lymph-node mask, with nonzero
+    values of 1 and 2, stored as uint8 or int16; the class of each structure
+    (every class 1..m used), the precedence (lymph nodes last, as m + 1) and
+    each file's suffix."""
+    shape = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    dtype = draw(st.sampled_from([np.uint8, np.int16]))
+    n = draw(st.integers(1, 4))
+    masks = [draw(hnp.arrays(dtype, shape, elements=st.integers(0, 2))) for _ in range(n + 1)]
+    m = draw(st.integers(1, n))
+    classes = [*draw(st.permutations(range(1, m + 1))),
+               *(draw(st.integers(1, m)) for _ in range(n - m))]
+    precedence = [*draw(st.permutations(range(1, m + 1))), m + 1]
+    suffixes = [draw(SUFFIXES) for _ in range(n + 2)]
+    return masks, classes, precedence, suffixes
+
+
+# at least 100 examples; more under --hypothesis-profile=ci
+@settings(max_examples=max(100, settings().max_examples), deadline=None)
+@given(scene=fuse_scenes())
+def test_fuse_command_matches_precedence_replay(scene):
+    # the fused file, read by the struct-based reader, against a per-voxel
+    # replay of the spec's precedence over each class's structures
+    masks, classes, precedence, suffixes = scene
+    ln_class = precedence[-1]
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        anatomy = d / "anatomy"
+        anatomy.mkdir()
+        for k, mask in enumerate(masks[:-1]):
+            nm.write_volume(make_volume(mask, kind="scalar"), anatomy / f"s{k}{suffixes[k]}")
+        ln, out = d / f"ln{suffixes[-2]}", d / f"fused{suffixes[-1]}"
+        nm.write_volume(make_volume(masks[-1], kind="scalar"), ln)
+        spec = d / "spec.map"
+        spec.write_text("".join(f"s{k} = {c}\n" for k, c in enumerate(classes))
+                        + f"nodes = {ln_class}\n[precedence]\n{' '.join(map(str, precedence))}\n")
+        assert main(["fuse", "--anatomy-dir", str(anatomy), "--ln", str(ln), "--spec", str(spec),
+                     "--out", str(out)]) == 0
+        fused = ref_read_nifti(out)["data"]
+    sources = {ln_class: masks[-1] != 0}
+    for mask, c in zip(masks[:-1], classes):
+        sources[c] = (mask != 0) | sources.get(c, False)
+    assert np.array_equal(fused, replay_precedence(sources, precedence, masks[0].shape))
+
+
+@st.composite
+def label_fold_files(draw):
+    """1-4 label folds of up to 4 classes, stored as uint8 or int16, and each
+    fold's suffix and the output's."""
+    shape = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    dtype = draw(st.sampled_from([np.uint8, np.int16]))
+    classes = draw(st.integers(1, 4))
+    folds = [draw(hnp.arrays(dtype, shape, elements=st.integers(0, classes - 1)))
+             for _ in range(draw(st.integers(1, 4)))]
+    return folds, [draw(SUFFIXES) for _ in range(len(folds) + 1)]
+
+
+@settings(max_examples=max(100, settings().max_examples), deadline=None)
+@given(case=label_fold_files())
+def test_ensemble_labels_command_matches_naive_majority(case):
+    # the voted file, read by the struct-based reader, against a per-voxel
+    # vote over the class ids the folds hold (ties to the smallest id)
+    folds, suffixes = case
+    with tempfile.TemporaryDirectory() as d:
+        paths = [Path(d) / f"fold{k}{suffix}" for k, suffix in enumerate(suffixes[:-1])]
+        for fold, path in zip(folds, paths):
+            nm.write_volume(make_volume(fold, kind="scalar"), path)
+        out = Path(d) / f"merged{suffixes[-1]}"
+        assert main(["ensemble", "--labels", *map(str, paths), "--out", str(out)]) == 0
+        merged = ref_read_nifti(out)["data"]
+    classes = max(int(fold.max()) for fold in folds) + 1
+    assert np.array_equal(merged, naive_majority(folds, classes))

@@ -377,3 +377,9 @@ def test_scan_holds_one_slab_mask_not_one_of_the_chunk():
         tracemalloc.stop()
     assert shape == (nx, ny, nz) and len(keys) == 9 * nz
     assert peak < 2 * nx * ny, peak
+
+
+def test_mask_must_be_3d():
+    with pytest.raises(nm.ValidationError) as err:
+        nm.label_components(np.zeros((3, 3), np.uint8), 26)
+    assert str(err.value) == "mask must be 3D, got 2D"

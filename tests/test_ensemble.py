@@ -209,3 +209,25 @@ def test_argmax_equals_np_argmax_with_ties(rng, layout):
     out = nm.argmax_labels(prob_volume(stack))
     assert out.data.dtype == np.uint8
     assert np.array_equal(out.data, np.argmax(stack, axis=3))
+
+
+def test_fold_set_kind_must_be_probability_or_label(rng):
+    with pytest.raises(nm.ValidationError) as err:
+        nm.FoldSet((random_labels(rng),), "mean")
+    assert str(err.value) == "fold set kind must be probability or label, got 'mean'"
+
+
+@pytest.mark.parametrize("kind", ["probability", "label"])
+def test_folds_disagreeing_on_class_count_rejected(rng, kind):
+    # one check for both kinds: a probability Volume's class_count is its trailing axis
+    make = random_prob if kind == "probability" else random_labels
+    folds = (make(rng, n_classes=3), make(rng, n_classes=4))
+    with pytest.raises(nm.ValidationError) as err:
+        nm.FoldSet(folds, kind)
+    assert str(err.value) == "folds disagree on class count: [3, 4]"
+
+
+def test_argmax_labels_needs_a_probability_volume(rng):
+    with pytest.raises(nm.ValidationError) as err:
+        nm.argmax_labels(random_labels(rng))
+    assert str(err.value) == "argmax_labels needs a probability volume"

@@ -222,3 +222,20 @@ def test_partition_and_ln_supremacy(seed):
     # LN supremacy: every ln_mask voxel carries the LN class
     ln_out = nm.extract_class(fused, spec.ln_class).data != 0
     assert np.all(ln_out[ln.data != 0])
+
+
+def test_spec_file_not_utf8_exits_1_before_any_mask_is_read(tmp_path, capsys):
+    # a spec that is not UTF-8 ended in a UnicodeDecodeError traceback
+    from nodemetry.cli import main
+    anatomy = tmp_path / "anatomy"
+    anatomy.mkdir()
+    nm.write_volume(binary((4, 4, 3), [(1, 1, 1)]), anatomy / "spleen.nii")
+    nm.write_volume(binary((4, 4, 3), [(2, 2, 2)]), tmp_path / "ln.nii")
+    spec = tmp_path / "spec.map"
+    spec.write_bytes(b"\xff\xfespleen = 1\n")
+    out = tmp_path / "fused.nii"
+    assert main(["fuse", "--anatomy-dir", str(anatomy), "--ln", str(tmp_path / "ln.nii"),
+                 "--spec", str(spec), "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {spec}: not UTF-8 text (invalid start byte at byte 0)\n")
+    assert not out.exists()

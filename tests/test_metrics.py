@@ -457,3 +457,10 @@ def test_aggregate_permutation_invariant(rng):
 def test_aggregate_empty_input():
     with pytest.raises(nm.ValidationError):
         nm.aggregate([])
+
+
+def test_loss_needs_a_probability_volume():
+    labels = make_volume(np.zeros((3, 3, 2), np.uint8), kind="label", class_count=2)
+    with pytest.raises(nm.ValidationError) as err:
+        nm.composite_loss(labels, labels)
+    assert str(err.value) == "composite_loss needs a probability volume"

@@ -1,3 +1,4 @@
+import errno
 import gzip
 import math
 import os
@@ -763,3 +764,45 @@ def test_fuzz_arbitrary_bytes(tmp_path, blob, gz):
 @given(blob=mutated_headers(), gz=st.booleans())
 def test_fuzz_mutated_headers(tmp_path, blob, gz):
     _parses_or_rejects(tmp_path, blob, gz)
+
+
+@pytest.mark.parametrize("dim, message", [
+    ((3, 3, 0, 2), "non-positive axis length in dim [3, 0, 2]"),
+    ((4, 3, 2, 2, 2), "4D volumes are not supported"),
+], ids=["zero-axis", "4d"])
+def test_header_dim_errors_named(tmp_path, dim, message):
+    blob = bytearray(build_nifti_bytes(payload=bytes(24)))
+    struct.pack_into(f"<{len(dim)}h", blob, 40, *dim)
+    path = tmp_path / "m.nii"
+    path.write_bytes(blob)
+    with pytest.raises(nm.NiftiFormatError) as err:
+        nm.read_volume(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_trailing_unit_axes_are_dropped(tmp_path):
+    # dim [5, 3, 2, 2, 1, 1] is a 3x2x2 grid
+    blob = bytearray(build_nifti_bytes(payload=bytes(range(12))))
+    struct.pack_into("<6h", blob, 40, 5, 3, 2, 2, 1, 1)
+    path = tmp_path / "m.nii"
+    path.write_bytes(blob)
+    volume = nm.read_volume(path)
+    assert volume.dims == (3, 2, 2)
+    assert np.array_equal(volume.data, np.arange(12, dtype=np.uint8).reshape((3, 2, 2), order="F"))
+
+
+def test_hole_probe_error_other_than_enxio_is_raised(tmp_path, monkeypatch, capsys):
+    # only ENXIO (no data past the offset) means a hole to the end of the
+    # file; any other error of the probe is the read's error
+    path = tmp_path / "m.nii"
+    path.write_bytes(_mask_8cube())
+    lseek = os.lseek
+
+    def failing(fd, pos, how):
+        if how == os.SEEK_DATA:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return lseek(fd, pos, how)
+
+    monkeypatch.setattr(os, "lseek", failing)
+    assert main(["cc", "--mask", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"

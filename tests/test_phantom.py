@@ -199,3 +199,40 @@ def test_phantom_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 2
     assert "error: out of memory: Unable to allocate 24.6 TiB" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("dims = 24 24 24\nspacing 1 1 1\n", "line 2: expected `key = values`, got 'spacing 1 1 1'"),
+    ("dims = 24 24 24\nspacing = 1 1 1\nnode = 10 10 10\n",
+     "line 3: node needs 6 or 7 numbers, got 3"),
+    ("dims = 24 24 24\ncolour = red\n", "line 2: unknown key 'colour'"),
+    ("dims = 24 24 24\nnode = 10 10 10 3 3 3\n", "phantom spec needs `spacing = sx sy sz`"),
+], ids=["no-equals", "short-node", "unknown-key", "no-spacing"])
+def test_phantom_spec_errors_exit_1(tmp_path, capsys, lines, message):
+    from nodemetry.cli import main
+    spec = tmp_path / "spec.txt"
+    spec.write_text(lines)
+    out = tmp_path / "ph.nii"
+    assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_phantom_spec_not_utf8_exits_1(tmp_path, capsys):
+    # a spec that is not UTF-8 ended in a UnicodeDecodeError traceback
+    from nodemetry.cli import main
+    spec = tmp_path / "spec.txt"
+    spec.write_bytes(b"\xff\xfedims = 24 24 24\n")
+    out, expected = tmp_path / "ph.nii", tmp_path / "expected.csv"
+    assert main(["phantom", "--spec", str(spec), "--out", str(out),
+                 "--out-expected", str(expected)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {spec}: not UTF-8 text (invalid start byte at byte 0)\n")
+    assert not out.exists() and not expected.exists()
+
+
+def test_random_spec_that_cannot_place_its_nodes_rejected():
+    # on a 10^3 grid nearly every drawn node is too big, and is drawn again
+    with pytest.raises(nm.ValidationError) as err:
+        nm.random_spec((10, 10, 10), (1.0, 1.0, 1.0), 1, seed=0, max_tries=20)
+    assert str(err.value) == "could not place 1 non-overlapping nodes in (10, 10, 10) (placed 0)"

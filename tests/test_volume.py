@@ -126,3 +126,30 @@ def test_canonicalize_slice_convention(rng):
 def test_spacing_must_be_positive_and_finite(spacing):
     with pytest.raises(nm.ValidationError, match="spacing"):
         nm.Volume(np.zeros((2, 2, 2), np.uint8), spacing, np.eye(3, 4), kind="label")
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"kind": "mask"}, "unknown volume kind 'mask'"),
+    ({"data": np.zeros((2, 2))}, "scalar volume needs 3D data, got 2D"),
+    ({"kind": "probability"}, "probability volume needs 4D data, got 3D"),
+    ({"affine": np.eye(4)}, "affine must be 3x4, got (4, 4)"),
+    ({"data": np.ones((2, 2, 2, 1), np.uint8), "kind": "probability"},
+     "probability grid needs float dtype"),
+    ({"data": np.ones((2, 2, 2, 1), np.float32), "kind": "probability", "class_count": 2},
+     "class_count 2 != trailing axis 1"),
+], ids=["kind", "ndim", "probability-ndim", "affine", "probability-dtype", "class-count"])
+def test_volume_validation_messages(changes, message):
+    fields = {"data": np.zeros((2, 2, 2)), "spacing": (1.0, 1.0, 1.0),
+              "affine": nm.identity_affine((1.0, 1.0, 1.0)), "kind": "scalar", **changes}
+    with pytest.raises(nm.ValidationError) as err:
+        nm.Volume(**fields)
+    assert str(err.value) == message
+
+
+def test_canonicalize_needs_a_dominant_axis_permutation():
+    # voxel axes 0 and 1 both move mostly along world x
+    affine = np.array([[1.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    volume = nm.Volume(np.zeros((2, 2, 2), np.uint8), (1.0, 1.0, 1.0), affine, kind="label")
+    with pytest.raises(nm.ValidationError) as err:
+        canonicalize(volume)
+    assert str(err.value) == "affine has no dominant axis permutation; cannot canonicalize"
