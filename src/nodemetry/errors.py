@@ -40,9 +40,10 @@ class TruncatedFileError(NiftiFormatError):
 
 
 def read_utf8(path) -> str:
-    """The text of a spec or manifest file; one that is not UTF-8 is a ValidationError."""
+    """The text of a spec or manifest file, less a leading byte-order mark;
+    one that is not UTF-8 is a ValidationError naming the file's byte offset."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                               f"{exc.start})") from None

@@ -145,12 +145,12 @@ def class_loss(p: np.ndarray, labels: np.ndarray, c: int) -> float:
 
 def _check_threshold(threshold_mm: float) -> None:
     # negated so that NaN, which fails every comparison, is rejected too
-    if not threshold_mm > 0:
-        raise ValidationError(f"threshold must be positive, got {threshold_mm}")
+    if not 0 < threshold_mm < np.inf:
+        raise ValidationError(f"threshold must be positive and finite, got {threshold_mm}")
 
 
 def check_eval_options(threshold_mm: float, match_min_overlap: float) -> None:
-    """Reject a SAD threshold that is not positive and a match_min_overlap
+    """Reject a SAD threshold that is not positive and finite, and a match_min_overlap
     outside [0, 1], NaN included, before any volume is read or labeled."""
     _check_threshold(threshold_mm)
     if not 0.0 <= match_min_overlap <= 1.0:

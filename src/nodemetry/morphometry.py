@@ -10,7 +10,8 @@ centers, so a single voxel measures its physical pixel size rather than zero.
 measure_components measures every slice of every node at once, in exact
 integer arithmetic on footprint corners in half-voxel units (_measure): a
 node shifted by whole voxels measures the same floats, and congruent slices
-tie exactly. One slice is measured by measure_node on that slice's voxels.
+tie exactly. Widths and long axes come from each hull edge's farthest
+vertex (_antipodes). One slice is measured by measure_node on its voxels.
 
 All lengths are world mm; the volume must be canonicalized (axial-last) so
 slice k means axial slice k and the in-plane spacing is spacing[0:2].
@@ -49,37 +50,6 @@ def _starts(*keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-# ordered vertex pairs per batch of whole slices: bounds the temporaries of
-# a pass over every slice of a mask
-_PAIR_BATCH = 1 << 13
-
-
-def _ranges(first: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The ranges [first, first + size), concatenated."""
-    return np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
-
-
-def _vertex_pairs(first: np.ndarray, size: np.ndarray):
-    """Every ordered pair (a, b) of vertices within each group of vertices
-    [first, first + size), a-major in group order.
-
-    Yields, per batch of whole groups holding at most _PAIR_BATCH pairs (or
-    of one larger group alone), the batch's group range and its a and b.
-    """
-    sq = size * size
-    end = np.cumsum(sq)
-    start = 0
-    while start < len(size):
-        stop = max(int(np.searchsorted(end, end[start] - sq[start] + _PAIR_BATCH, "right")),
-                   start + 1)
-        n = size[start:stop]
-        per_vertex = np.repeat(n, n)
-        a = np.repeat(_ranges(first[start:stop], n), per_vertex)
-        b = _ranges(np.repeat(first[start:stop], n), per_vertex)
-        yield start, stop, a, b
-        start = stop
-
-
 def _peel(x: np.ndarray, y: np.ndarray, chain: np.ndarray) -> np.ndarray:
     """Which points of counter-clockwise chains are strict hull vertices.
 
@@ -106,6 +76,27 @@ def _peel(x: np.ndarray, y: np.ndarray, chain: np.ndarray) -> np.ndarray:
         dirty[g[drop]] = True
         at = at[dirty[g] & ~drop]
     return keep
+
+
+def _antipodes(first: np.ndarray, size: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """For each vertex a of the strictly convex counter-clockwise hulls
+    [first, first + size), whose edge a -> a+1 is (ex, ey), the first vertex
+    of its hull farthest from that edge's line.
+
+    Edge directions turn monotonically around a hull, so that vertex starts
+    the first later edge turned by 180 degrees or more: the first offset k in
+    1..size-1 whose edge b has ex[a]*ey[b] - ey[a]*ex[b] <= 0. The last edge
+    always has, so one binary search finds k for every vertex at once."""
+    n = np.repeat(size, size)
+    start = np.repeat(first, size)
+    local = np.arange(len(ex)) - start
+    lo, hi = np.ones(len(ex), np.int64), n - 1
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        b = start + (local + mid) % n
+        turned = ex * ey[b] - ey * ex[b] <= 0
+        lo, hi = np.where(turned, lo, mid + 1), np.where(turned, mid, hi)
+    return start + (local + hi) % n
 
 
 def _row_ends(labels: np.ndarray, voxels: np.ndarray):
@@ -168,7 +159,10 @@ def _measure(labels: np.ndarray, voxels: np.ndarray, volume: Volume) -> list[Nod
     width is its smallest edge width. Only integer differences enter, so
     congruent slices, and equal widths across parallel edges, give one
     float. The long axis is the largest hypot(dx*sx, dy*sy) / 2 over vertex
-    pairs of the SAD slice.
+    pairs of the SAD slice. Both are taken at the vertex farthest from each
+    edge (_antipodes, rotating calipers): C is that vertex's cross product,
+    and a longest pair joins an edge's start and that vertex, since the
+    lines through its ends at right angles to it support the hull.
     """
     if not is_canonical(volume):
         raise ValidationError("volume must be canonicalized (axial-last) for measurement")
@@ -177,15 +171,14 @@ def _measure(labels: np.ndarray, voxels: np.ndarray, volume: Volume) -> list[Nod
     keep = _peel(x, y, chain)
     hx, hy = x[keep], y[keep]
     first = _starts(chain[keep])
+    del x, y, chain, keep  # freed before the search's per-vertex arrays
     size = np.diff(np.append(first, len(hx)))
     # the edge from each vertex to the next of its slice
     after = np.arange(1, len(hx) + 1)
     after[first + size - 1] = first
     ex, ey = hx[after] - hx, hy[after] - hy
-    c = np.empty(len(hx), np.int64)
-    for _, _, a, b in _vertex_pairs(first, size):
-        runs = _starts(a)
-        c[a[runs]] = np.maximum.reduceat(ex[a] * (hy[b] - hy[a]) - ey[a] * (hx[b] - hx[a]), runs)
+    far = _antipodes(first, size, ex, ey)
+    c = ex * (hy[far] - hy) - ey * (hx[far] - hx)
     # in lowest terms, so that parallel edges of equal width give one float
     g = np.gcd(ex, ey)
     c, ex, ey = c // g, ex // g, ey // g
@@ -196,11 +189,8 @@ def _measure(labels: np.ndarray, voxels: np.ndarray, volume: Volume) -> list[Nod
     # ties keep the smallest slice index: the node's first slice of its largest width
     tied = np.flatnonzero(width == np.repeat(sad, np.diff(np.append(nodes, len(lab)))))
     best = tied[np.searchsorted(tied, nodes)]
-    long_axis = np.empty(len(best))
-    for start, stop, a, b in _vertex_pairs(first[best], size[best]):
-        pairs = size[best[start:stop]] ** 2
-        long_axis[start:stop] = np.maximum.reduceat(
-            np.hypot((hx[b] - hx[a]) * sx, (hy[b] - hy[a]) * sy), np.cumsum(pairs) - pairs) / 2
+    reach = np.hypot((hx[far] - hx) * sx, (hy[far] - hy) * sy)
+    long_axis = np.maximum.reduceat(reach, first)[best] / 2
     return [
         NodeMeasurement(component_index=node, sad_mm=w, sad_slice_index=z, long_axis_mm=d,
                         volume_mm3=count * (sx * sy * sz), voxel_count=count)

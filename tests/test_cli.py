@@ -1,6 +1,7 @@
 import concurrent.futures
 import gzip
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from nodemetry import cli, metrics, nifti_io
 from nodemetry import ensemble as ens
 from nodemetry.cli import main
 from conftest import child_rss_kb, make_volume
-from oracles import naive_majority, ref_read_nifti, replay_precedence
+from oracles import (flood_fill_components, lattice_node_measure, naive_evaluate,
+                     naive_majority, ref_read_nifti, replay_precedence)
 
 
 def write_mask(path, arr, spacing=(1.0, 1.0, 1.0)):
@@ -175,6 +178,19 @@ def test_eval_manifest(tmp_path):
     assert payload["patients"][0]["patient_id"] == "pat7"
 
 
+def test_eval_manifest_with_byte_order_mark(tmp_path, capsys):
+    # a leading UTF-8 byte-order mark was read into the first patient id,
+    # which was reported as "\ufeffp01"
+    write_mask(tmp_path / "g.nii", two_node_arr())
+    manifest = tmp_path / "pairs.csv"
+    manifest.write_bytes(f"\ufeffp01,{tmp_path / 'g.nii'},{tmp_path / 'g.nii'}\n".encode())
+    out = tmp_path / "r.json"
+    assert main(["eval", "--manifest", str(manifest), "--out-json", str(out)]) == 0
+    config = json.loads(capsys.readouterr().out.splitlines()[0].removeprefix("config: "))
+    assert config["pairs"][0][0] == "p01"
+    assert json.loads(out.read_text())["patients"][0]["patient_id"] == "p01"
+
+
 def test_eval_manifest_repeated_patient_id(tmp_path, capsys):
     # both rows would be scored: one patient counted twice in every stratum
     write_mask(tmp_path / "g.nii.gz", two_node_arr())
@@ -253,9 +269,10 @@ def test_eval_grid_mismatch_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("option", [["--threshold", "nan"], ["--threshold", "-3"],
+                                    ["--threshold", "inf"], ["--threshold", "1e400"],
                                     ["--min-overlap", "nan"], ["--min-overlap", "2"]],
-                         ids=["threshold-nan", "threshold-negative",
-                              "min-overlap-nan", "min-overlap-2"])
+                         ids=["threshold-nan", "threshold-negative", "threshold-inf",
+                              "threshold-1e400", "min-overlap-nan", "min-overlap-2"])
 def test_eval_rejects_out_of_range_option(tmp_path, capsys, option):
     # a NaN or negative threshold misplaces every node, an overlap fraction
     # outside [0, 1] zeroes the stratum Dice of a perfect prediction
@@ -266,6 +283,18 @@ def test_eval_rejects_out_of_range_option(tmp_path, capsys, option):
     assert rc == 1
     assert not out_json.exists()
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["inf", "1e400"])
+def test_eval_infinite_threshold_exits_1_before_the_config_echo(tmp_path, capsys, threshold):
+    # it put every node in the small stratum, "Dice (LN < infmm)", and wrote
+    # "threshold_mm": Infinity, which is no JSON
+    write_mask(tmp_path / "g.nii", two_node_arr())
+    assert main(["eval", "--gt", str(tmp_path / "g.nii"), "--pred", str(tmp_path / "g.nii"),
+                 "--threshold", threshold]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: threshold must be positive and finite, got inf\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("ln_class", ["-1", "-254", "0"])
@@ -1643,3 +1672,143 @@ def test_ensemble_labels_command_matches_naive_majority(case):
         merged = ref_read_nifti(out)["data"]
     classes = max(int(fold.max()) for fold in folds) + 1
     assert np.array_equal(merged, naive_majority(folds, classes))
+
+
+# the spacings of the morphometry properties; at (0.6, 0.8) vertex pairs in
+# different directions can have equal lengths
+SPACINGS = st.sampled_from([(0.9, 0.8, 0.7), (1.0, 1.0, 1.25), (0.7, 1.1, 2.0),
+                            (0.3, 2.7, 1.0), (0.6, 0.8, 1.0)])
+CONNECTIVITIES = st.sampled_from([6, 18, 26])
+
+
+@st.composite
+def node_grids(draw, box_value=1):
+    """Scattered voxels of 1 and a box of box_value on a grid of up to 12^3,
+    stored as uint8 or int16."""
+    shape = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    mask = np.zeros(shape, draw(st.sampled_from([np.uint8, np.int16])))
+    mask.ravel()[sorted(draw(st.sets(st.integers(0, mask.size - 1), max_size=40)))] = 1
+    lo = [draw(st.integers(0, n - 1)) for n in shape]
+    hi = [draw(st.integers(a, n)) for a, n in zip(lo, shape)]
+    mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = box_value
+    return mask
+
+
+def at_scan_depths(mask, run) -> bytes:
+    """The bytes run() returns with files of mask's shape and dtype scanned
+    one z-slice, three z-slices and the whole grid at a time; they must not
+    depend on the depth."""
+    nx, ny, _ = mask.shape
+    assert nifti_io._SCAN_CHUNK >= mask.nbytes
+    outputs = []
+    for depth in (1, 3, None):
+        chunk = depth * nx * ny * mask.itemsize if depth else nifti_io._SCAN_CHUNK
+        with mock.patch.object(nifti_io, "_SCAN_CHUNK", chunk):
+            outputs.append(run())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    return outputs[0]
+
+
+def lattice_measurements(mask, connectivity, spacing):
+    """The oracle's NodeMeasurement of each flood-fill component, in id order."""
+    ids = flood_fill_components(mask != 0, connectivity)
+    measured = []
+    for i in range(1, int(ids.max()) + 1):
+        voxels = np.argwhere(ids == i)
+        sad, k, far = lattice_node_measure(voxels.tolist(), spacing[:2])
+        measured.append(nm.NodeMeasurement(i, sad, k, far, len(voxels) * math.prod(spacing),
+                                           len(voxels)))
+    return measured
+
+
+@settings(deadline=None)
+@given(mask=node_grids(box_value=2), suffixes=st.tuples(SUFFIXES, SUFFIXES), spacing=SPACINGS,
+       connectivity=CONNECTIVITIES)
+def test_cc_command_matches_flood_fill(mask, suffixes, spacing, connectivity):
+    # the component file, read by the struct-based reader, against a
+    # breadth-first flood fill numbering components in scan order
+    with tempfile.TemporaryDirectory() as d:
+        src = Path(d) / f"mask{suffixes[0]}"
+        nm.write_volume(make_volume(mask, spacing, kind="scalar"), src)
+        out = Path(d) / f"labels{suffixes[1]}"
+
+        def run():
+            assert main(["cc", "--mask", str(src), "--connectivity", str(connectivity),
+                         "--out-labels", str(out)]) == 0
+            return out.read_bytes()
+        at_scan_depths(mask, run)
+        labels = ref_read_nifti(out)["data"]
+    assert np.array_equal(labels, flood_fill_components(mask != 0, connectivity))
+
+
+@settings(deadline=None)
+@given(mask=node_grids(box_value=2), suffix=SUFFIXES, spacing=SPACINGS,
+       connectivity=CONNECTIVITIES)
+def test_measure_command_matches_lattice_oracle(mask, suffix, spacing, connectivity):
+    # each flood-fill component measured by the all-pairs lattice oracle,
+    # on the spacing the file stores (float32), at the CSV's 4 decimals
+    with tempfile.TemporaryDirectory() as d:
+        src = Path(d) / f"mask{suffix}"
+        nm.write_volume(make_volume(mask, spacing, kind="scalar"), src)
+        out = Path(d) / "nodes.csv"
+
+        def run():
+            assert main(["measure", "--mask", str(src), "--connectivity", str(connectivity),
+                         "--out", str(out)]) == 0
+            return out.read_bytes()
+        csv = at_scan_depths(mask, run).decode()
+        stored = ref_read_nifti(src)["spacing"]
+    rows = [f"{m.component_index},{m.voxel_count},{m.volume_mm3:.4f},{m.sad_mm:.4f},"
+            f"{m.sad_slice_index},{m.long_axis_mm:.4f}"
+            for m in lattice_measurements(mask, connectivity, stored)]
+    assert csv == "\n".join(["component_index,voxel_count,volume_mm3,sad_mm,sad_slice_index,"
+                             "long_axis_mm", *rows]) + "\n"
+
+
+@st.composite
+def eval_pairs(draw):
+    """A binary ground truth from node_grids and a prediction that differs
+    from it in up to 20 voxels."""
+    gt = draw(node_grids())
+    pred = gt.copy()
+    flips = sorted(draw(st.sets(st.integers(0, gt.size - 1), max_size=20)))
+    pred.ravel()[flips] = 1 - pred.ravel()[flips]
+    return gt, pred
+
+
+@settings(deadline=None)
+@given(pair=eval_pairs(), suffixes=st.tuples(SUFFIXES, SUFFIXES), spacing=SPACINGS,
+       connectivity=CONNECTIVITIES, threshold=st.sampled_from([1.0, 2.5, 8.0]),
+       min_overlap=st.sampled_from([0.0, 0.5, 1.0]))
+def test_eval_command_matches_naive_evaluate(pair, suffixes, spacing, connectivity, threshold,
+                                             min_overlap):
+    # the patient's report against per-node dense masks and Python loops,
+    # given the lattice oracle's measurements, at the JSON's 4 decimals
+    gt, pred = pair
+    with tempfile.TemporaryDirectory() as d:
+        paths = [Path(d) / f"{name}{suffix}" for name, suffix in zip(("g", "p"), suffixes)]
+        for arr, path in zip(pair, paths):
+            nm.write_volume(make_volume(arr, spacing, kind="scalar"), path)
+        out = Path(d) / "eval.json"
+
+        def run():
+            assert main(["eval", "--gt", str(paths[0]), "--pred", str(paths[1]),
+                         "--connectivity", str(connectivity), "--threshold", str(threshold),
+                         "--min-overlap", str(min_overlap), "--out-json", str(out)]) == 0
+            return out.read_bytes()
+        report = json.loads(at_scan_depths(gt, run))
+        stored = ref_read_nifti(paths[0])["spacing"]
+    expected = naive_evaluate(gt, pred, lattice_measurements(gt, connectivity, stored),
+                              threshold, connectivity, min_overlap)
+
+    def q4(value):
+        return None if value is None else float(f"{value:.4f}")
+    assert report["patients"] == [{
+        "patient_id": "g",
+        **{k: q4(expected[k]) for k in ("dice_all", "dice_large", "dice_small")},
+        **{k: expected[k] for k in ("gt_node_count", "detected_count", "unmatched_pred_count")},
+        "nodes": [{"component_index": m.component_index, "voxel_count": m.voxel_count,
+                   "volume_mm3": q4(m.volume_mm3), "sad_mm": q4(m.sad_mm),
+                   "sad_slice_index": m.sad_slice_index, "long_axis_mm": q4(m.long_axis_mm),
+                   "dice": q4(dice)} for m, dice in expected["per_node"]],
+    }]

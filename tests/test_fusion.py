@@ -239,3 +239,21 @@ def test_spec_file_not_utf8_exits_1_before_any_mask_is_read(tmp_path, capsys):
     assert (capsys.readouterr().err
             == f"error: {spec}: not UTF-8 text (invalid start byte at byte 0)\n")
     assert not out.exists()
+
+
+def test_spec_file_with_byte_order_mark_fuses_as_without(tmp_path):
+    # a leading UTF-8 byte-order mark was read into the first structure name
+    from nodemetry.cli import main
+    anatomy = tmp_path / "anatomy"
+    anatomy.mkdir()
+    nm.write_volume(binary((4, 4, 3), [(1, 1, 1), (2, 2, 2)]), anatomy / "spleen.nii")
+    nm.write_volume(binary((4, 4, 3), [(2, 2, 2)]), tmp_path / "ln.nii")
+    text = b"spleen = 1\nnodes = 2\n[precedence]\n1 2\n"
+    fused = []
+    for name, blob in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        spec, out = tmp_path / f"{name}.map", tmp_path / f"{name}.nii"
+        spec.write_bytes(blob)
+        assert main(["fuse", "--anatomy-dir", str(anatomy), "--ln", str(tmp_path / "ln.nii"),
+                     "--spec", str(spec), "--out", str(out)]) == 0
+        fused.append(out.read_bytes())
+    assert fused[1] == fused[0]

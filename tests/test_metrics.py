@@ -212,7 +212,7 @@ def test_stratify_is_partition(rng):
 
 
 def test_stratify_bad_threshold():
-    for threshold in (0.0, -3.0, math.nan):
+    for threshold in (0.0, -3.0, math.nan, math.inf):
         with pytest.raises(nm.ValidationError):
             nm.stratify([], threshold)
 
@@ -221,7 +221,7 @@ def test_stratify_bad_threshold():
 
 @pytest.mark.parametrize("options", [{"threshold_mm": math.nan}, {"threshold_mm": 0.0},
                                      {"match_min_overlap": math.nan},
-                                     {"match_min_overlap": 1.5}])
+                                     {"match_min_overlap": 1.5}, {"threshold_mm": math.inf}])
 def test_evaluate_checks_options_before_labeling(monkeypatch, options):
     import nodemetry.metrics as metrics
     calls = []

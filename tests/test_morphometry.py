@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nodemetry as nm
+from nodemetry.morphometry import _antipodes
 from conftest import make_volume
-from oracles import lattice_node_measure, sweep_diameter, sweep_width
+from oracles import lattice_hull, lattice_node_measure, sweep_diameter, sweep_width
 
 
 def slice_sad(ij, spacing=(1.0, 1.0)) -> float:
@@ -200,7 +201,7 @@ EXAMPLES = max(300, settings().max_examples)
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(mask=node_masks(), connectivity=st.sampled_from((6, 18, 26)),
        spacing=st.sampled_from(((0.9, 0.8, 0.7), (1.0, 1.0, 1.25), (0.7, 1.1, 2.0),
-                                (0.3, 2.7, 1.0))))
+                                (0.3, 2.7, 1.0), (0.6, 0.8, 1.0))))
 @example(mask=GAPPED_ROWS, connectivity=6, spacing=(0.9, 0.8, 0.7))
 @example(mask=GAPPED_ROWS, connectivity=26, spacing=(1.0, 1.0, 1.25))
 @example(mask=ONE_VOXEL_SLICES, connectivity=6, spacing=(0.9, 0.8, 0.7))
@@ -239,6 +240,46 @@ def test_whole_voxel_shift_changes_no_measurement(mask, shift, spacing):
         assert (b.sad_mm, b.long_axis_mm) == (a.sad_mm, a.long_axis_mm)
         assert b.voxel_count == a.voxel_count
         assert b.sad_slice_index == a.sad_slice_index + shift[2]
+
+
+def not_collinear(points) -> bool:
+    rel = np.asarray(points) - points[0]
+    return bool(np.any(rel[:, 0] * rel[1:, 1, None] - rel[:, 1] * rel[1:, 0, None]))
+
+
+POINT_SETS = st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+                      min_size=3, max_size=24, unique=True).filter(not_collinear)
+RECTANGLE = [(0, 0), (6, 0), (6, 2), (0, 2)]
+# the vertices found for its horizontal edges span its short diagonal; the
+# long one comes from its slanted edges
+PARALLELOGRAM = [(0, 0), (4, 0), (1, 3), (-3, 3)]
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(point_sets=st.lists(POINT_SETS, min_size=1, max_size=4),
+       spacing=st.sampled_from(((1.0, 1.0), (0.6, 0.8), (0.8, 0.6), (0.7, 1.1), (0.3, 2.7))))
+@example(point_sets=[RECTANGLE], spacing=(1.0, 1.0))
+@example(point_sets=[RECTANGLE, [(0, 0), (3, 0), (3, 3), (0, 3)], PARALLELOGRAM],
+         spacing=(0.6, 0.8))
+def test_antipodes_reach_each_edges_largest_cross_product_and_the_diameter(point_sets, spacing):
+    # on several hulls at once, against every vertex of each: the vertex
+    # found gives the largest cross product with its edge, and one of the
+    # pairs of a vertex and the vertex found for its edge is a longest pair
+    hulls = [np.array(lattice_hull(points), dtype=np.int64) for points in point_sets]
+    size = np.array([len(h) for h in hulls])
+    first = np.cumsum(size) - size
+    x, y = np.concatenate(hulls).T
+    ex, ey = (np.concatenate([np.roll(h[:, d], -1) - h[:, d] for h in hulls]) for d in (0, 1))
+    far = _antipodes(first, size, ex, ey)
+    sx, sy = spacing
+    for a0, n in zip(first.tolist(), size.tolist()):
+        a = np.arange(a0, a0 + n)
+        assert np.all((far[a] >= a0) & (far[a] < a0 + n))
+        # row: the edge from vertex a; column: vertex b
+        cross = ex[a, None] * (y[a] - y[a, None]) - ey[a, None] * (x[a] - x[a, None])
+        assert np.array_equal(cross[np.arange(n), far[a] - a0], cross.max(axis=1))
+        length = np.hypot((x[a] - x[a, None]) * sx, (y[a] - y[a, None]) * sy)
+        assert length[np.arange(n), far[a] - a0].max() == length.max()
 
 
 def test_exact_8mm_box_is_large_wherever_it_sits():

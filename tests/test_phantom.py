@@ -231,6 +231,32 @@ def test_phantom_spec_not_utf8_exits_1(tmp_path, capsys):
     assert not out.exists() and not expected.exists()
 
 
+def test_phantom_spec_with_byte_order_mark_reads_as_without(tmp_path):
+    # a leading UTF-8 byte-order mark, as some editors write, was read into
+    # the first key: `line 1: unknown key '\ufeffdims'`, exit 1
+    from nodemetry.cli import main
+    text = b"dims = 24 24 24\nspacing = 1 1 1\nnode = 10 10 10 3 3 3\n"
+    outputs = []
+    for name, blob in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        spec, out, expected = (tmp_path / f"{name}{ext}" for ext in (".txt", ".nii", ".csv"))
+        spec.write_bytes(blob)
+        assert main(["phantom", "--spec", str(spec), "--out", str(out),
+                     "--out-expected", str(expected)]) == 0
+        outputs.append((out.read_bytes(), expected.read_bytes()))
+    assert outputs[1] == outputs[0]
+
+
+def test_not_utf8_offset_counts_the_byte_order_mark(tmp_path, capsys):
+    # the offset is the bad byte's in the file, as a hex dump shows it
+    # (utf-8-sig would count from after the mark, and say 9)
+    from nodemetry.cli import main
+    spec = tmp_path / "spec.txt"
+    spec.write_bytes(b"\xef\xbb\xbfdims = 24\xff\n")
+    assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / "ph.nii")]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {spec}: not UTF-8 text (invalid start byte at byte 12)\n")
+
+
 def test_random_spec_that_cannot_place_its_nodes_rejected():
     # on a 10^3 grid nearly every drawn node is too big, and is drawn again
     with pytest.raises(nm.ValidationError) as err:
